@@ -1,8 +1,8 @@
 """``python -m repro`` — the experiment-runner CLI.
 
 The ``__name__`` guard is load-bearing: spawn-start worker processes
-(``repro run --parallel``, ``repro bench --parallel``) re-import the
-main module as ``__mp_main__``, and must not re-enter the CLI.
+(``repro run --parallel``) re-import the main module as
+``__mp_main__``, and must not re-enter the CLI.
 """
 
 import sys

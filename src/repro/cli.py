@@ -176,36 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
         monitor.add_argument(f"--{option.replace('_', '-')}",
                              dest=option, default=None)
 
-    bench = sub.add_parser(
-        "bench",
-        help="wall-time the experiment suite and compare against the "
-             "committed baseline")
-    bench.add_argument("--quick", action="store_true",
-                       help="the 3-experiment CI smoke subset")
-    bench.add_argument("--experiments", default=None, metavar="A,B,C",
-                       help="comma-separated subset of the bench suite")
-    bench.add_argument("--parallel", type=int, default=0, metavar="N",
-                       help="also time the suite fanned across N worker "
-                            "processes and report the speedup")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="per-experiment score-regression tolerance "
-                            "vs the baseline (default 0.25 = 25%%)")
-    bench.add_argument("--retries", type=int, default=2, metavar="N",
-                       help="re-measure entries that trip the gate up "
-                            "to N extra rounds before failing (a real "
-                            "regression reproduces on every retry; "
-                            "0 disables; default 2)")
-    bench.add_argument("--output-dir", default=None, metavar="DIR",
-                       help="where to write/read BENCH_<rev>.json "
-                            "(default benchmarks/results)")
-    bench.add_argument("--no-write", action="store_true",
-                       help="do not write a BENCH_<rev>.json snapshot")
-    bench.add_argument("--no-cache", action="store_true",
-                       help="re-time every suite entry instead of "
-                            "replaying cached results")
-    bench.add_argument("--json", action="store_true",
-                       help="machine-readable snapshot on stdout")
-
     cache = sub.add_parser(
         "cache",
         help="inspect or clear the content-addressed result cache")
@@ -365,11 +335,6 @@ def _run_experiment(args: argparse.Namespace) -> str:
         use_cache = False
     cache_mod.configure(cache_mod.ResultCache() if use_cache else None)
     fanned_out = kwargs.get("parallel", 1) > 1
-    if fanned_out:
-        # longest-expected-first dispatch from the latest bench
-        # snapshot's per-task timings (empty when none recorded)
-        from .runner import bench as bench_mod
-        pool_mod.configure_cost_hints(bench_mod.load_cost_hints())
     try:
         if profile:
             return note + _profile_run(args.experiment, runner, kwargs)
@@ -392,7 +357,6 @@ def _run_experiment(args: argparse.Namespace) -> str:
                 f"{exported}")
     finally:
         cache_mod.configure(None)
-        pool_mod.configure_cost_hints(None)
 
 
 def _pool_summary(stats) -> str:
@@ -456,65 +420,6 @@ def _run_monitor(args: argparse.Namespace) -> int:
         slos=tuple(slos), jsonl=args.jsonl, refresh=args.refresh,
         dashboard=not args.no_dashboard, serve_grace=args.serve_grace,
         telemetry=args.telemetry, fail_on_alert=args.fail_on_alert)
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    from .runner import bench as bench_mod
-    from .runner.cache import ResultCache
-
-    names = None
-    if args.experiments is not None:
-        names = tuple(n.strip() for n in args.experiments.split(",")
-                      if n.strip())
-    out_dir = (Path(args.output_dir) if args.output_dir is not None
-               else bench_mod.RESULTS_DIR)
-    # only the per-entry wall times are cached (run_bench keys whole
-    # suite entries); the experiments' inner cell fan-out stays uncached
-    # so a timed run always measures real simulation work
-    store = False if args.no_cache else ResultCache()
-    report = bench_mod.run_bench(names=names, quick=args.quick,
-                                 parallel=args.parallel, cache=store)
-    baseline = bench_mod.load_baseline(out_dir, exclude_rev=report.rev)
-    retried = 0
-    if baseline is not None and args.retries > 0:
-        # re-measure gate-tripping entries before printing or
-        # persisting anything, so every output reflects final timings
-        retried = bench_mod.retry_regressions(
-            report, baseline, tolerance=args.tolerance,
-            rounds=args.retries,
-            cache=store if isinstance(store, ResultCache) else None)
-    if args.json:
-        import json
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.table())
-        if retried:
-            print(f"re-measured {retried} gate-tripping run(s) "
-                  f"(--retries {args.retries})")
-    if not args.no_write:
-        if report.cached:
-            if not args.json:
-                print(f"snapshot not written: {len(report.cached)} "
-                      f"entries replayed from the result cache "
-                      f"(rerun with --no-cache to re-time)")
-        else:
-            path = bench_mod.write_report(report, out_dir)
-            if not args.json:
-                print(f"snapshot written to {path}")
-    if baseline is None:
-        if not args.json:
-            print("no committed baseline to compare against "
-                  "(this snapshot becomes the first)")
-        return 0
-    table, regressions = report.compare(baseline,
-                                        tolerance=args.tolerance)
-    if not args.json:
-        print(table)
-    if regressions:
-        for message in regressions:
-            print(f"regression: {message}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _run_cache(args: argparse.Namespace) -> str:
@@ -752,8 +657,6 @@ def main(argv: list[str] | None = None) -> int:
             print(_run_experiment(args))
         elif args.command == "monitor":
             return _run_monitor(args)
-        elif args.command == "bench":
-            return _run_bench(args)
         elif args.command == "cache":
             print(_run_cache(args))
         elif args.command == "stats":

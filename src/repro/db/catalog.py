@@ -116,15 +116,14 @@ class Catalog:
             for bat in table.bats.values():
                 pages = bat.assign_pages(vm.machine.memory)
                 if policy == "single_node":
-                    vm.touch_pages(list(pages), loader_node)
+                    vm.touch_pages(pages, loader_node)
                 else:
+                    n = len(pages)
                     for chunk in range(n_sockets):
-                        n = len(pages)
                         lo = (n * chunk) // n_sockets
                         hi = (n * (chunk + 1)) // n_sockets
-                        chunk_pages = list(pages)[lo:hi]
-                        if chunk_pages:
-                            vm.touch_pages(chunk_pages, chunk)
+                        if hi > lo:
+                            vm.touch_pages(pages[lo:hi], chunk)
         self._loaded = True
 
     @property

@@ -280,32 +280,35 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _dispatch(self, core: int) -> None:
-        if self._running[core] is not None:
-            return
-        queue = self._queues[core]
         load = self._load
-        while queue:
-            thread = queue.popleft()
-            load[core] -= 1
-            item = thread.acquire_item()
-            if item is None:
-                if thread.source.finished:
-                    self._exit(thread)
-                else:
-                    self._block(thread)
-                continue
-            self._start_chunk(core, thread, item)
-            return
-        self._idle_pull(core)
+        # loop rather than recurse through _idle_pull: a core draining a
+        # long queue of finished threads pulls once per thread
+        while self._running[core] is None:
+            queue = self._queues[core]
+            while queue:
+                thread = queue.popleft()
+                load[core] -= 1
+                item = thread.acquire_item()
+                if item is None:
+                    if thread.source.finished:
+                        self._exit(thread)
+                    else:
+                        self._block(thread)
+                    continue
+                self._start_chunk(core, thread, item)
+                return
+            if not self._idle_pull(core):
+                return
 
-    def _idle_pull(self, core: int) -> None:
+    def _idle_pull(self, core: int) -> bool:
         """New-idle balancing: a core going idle pulls a waiting thread
         from the busiest queue (CFS's newidle path).  Core-pinned threads
         never move; node-affined threads prefer their node but are pulled
         across nodes when the donor queue is long (the affinity
         relaxation under congestion).  A core outside a tenant's cpuset
         may not pull that tenant's threads (but may pull unmanaged
-        ones — other applications)."""
+        ones — other applications).  Returns whether a thread moved onto
+        ``core``'s queue; the caller dispatches it."""
         topo = self.machine.topology
         my_node = self._node_of[core]
         queues = self._queues
@@ -333,8 +336,8 @@ class Scheduler:
                 thread.core = core
                 queues[core].append(thread)
                 self._load[core] += 1
-                self._dispatch(core)
-                return
+                return True
+        return False
 
     def _start_chunk(self, core: int, thread: SimThread,
                      item: WorkItem) -> None:

@@ -1,4 +1,4 @@
-"""Parallel experiment runner: process fan-out and the benchmark harness.
+"""Parallel experiment runner: process fan-out and the result cache.
 
 Every figure harness is a sweep of independent *cells* — each cell builds
 its own machine, OS and engine from scratch (:func:`build_system` resets
@@ -9,21 +9,16 @@ submission order, so a parallel run is bit-identical to the serial one.
 :mod:`.shm` publishes each run's immutable bulk atoms (TPC-H columns,
 warm-start snapshot payloads) into shared-memory segments exactly once,
 so a forked cell ships kilobytes of digest references per task instead
-of re-pickling the dataset.
+of re-pickling the dataset.  :mod:`.cache` replays cells whose inputs
+are unchanged.
 
-:mod:`.bench` wall-times the experiment suite (``repro bench``), writes a
-``BENCH_<rev>.json`` snapshot under ``benchmarks/results/`` and compares
-against the last committed baseline — the CI regression gate for the
-simulation kernel's fast path.  Parallel bench passes record pool
-telemetry (shipped bytes, worker utilisation, per-task seconds) that
-feeds the next run's longest-expected-first dispatch.
+Performance is measured outside the package, by the paper-scale harness
+under ``benchmarks/harness/``.
 """
 
-from .bench import (BENCH_SUITE, QUICK_SUITE, BenchReport, SweepSnapshot,
-                    load_baseline, load_cost_hints, run_bench)
 from .cache import ResultCache, configure, current, tree_fingerprint
-from .pool import (PoolStats, Task, TaskError, configure_cost_hints,
-                   last_pool_stats, resolve, run_tasks, task_cost_key)
+from .pool import (PoolStats, Task, TaskError, last_pool_stats, resolve,
+                   run_tasks)
 from .shm import AtomClient, SharedAtomStore, ShippedAtoms
 
 __all__ = [
@@ -33,8 +28,6 @@ __all__ = [
     "run_tasks",
     "PoolStats",
     "last_pool_stats",
-    "configure_cost_hints",
-    "task_cost_key",
     "SharedAtomStore",
     "AtomClient",
     "ShippedAtoms",
@@ -42,11 +35,4 @@ __all__ = [
     "configure",
     "current",
     "tree_fingerprint",
-    "BENCH_SUITE",
-    "QUICK_SUITE",
-    "BenchReport",
-    "SweepSnapshot",
-    "load_baseline",
-    "load_cost_hints",
-    "run_bench",
 ]

@@ -3,9 +3,9 @@
 Every experiment cell is a pure function of (the repro source tree, the
 task's ``module:attr`` spec, its canonicalised kwargs) — the simulation
 is deterministic by construction, seeds included in the kwargs.  The
-cache keys cells on exactly that triple, so ``repro run`` and ``repro
-bench`` replay unchanged cells from disk instead of re-simulating them,
-and any edit under ``src/repro`` invalidates every key at once.
+cache keys cells on exactly that triple, so ``repro run`` replays
+unchanged cells from disk instead of re-simulating them, and any edit
+under ``src/repro`` invalidates every key at once.
 
 Key derivation
 --------------
@@ -23,7 +23,7 @@ Key derivation
 The cache is **off** in the library (``run_tasks(cache=None)`` consults
 :func:`current`, which only activates via :func:`configure` or the
 ``REPRO_CACHE=1`` environment variable) and **on** by default in the
-CLI's ``run``/``bench`` commands, where ``--no-cache`` opts out and
+CLI's ``run`` command, where ``--no-cache`` opts out and
 ``repro cache stats``/``repro cache clear`` manage the store.  Entries
 live under ``.repro-cache/`` (override with ``REPRO_CACHE_DIR``).
 """

@@ -18,13 +18,10 @@ re-pickling the dataset per task.  Every result is tagged with its
 submission index, so merging is positional and parallel output stays
 bit-identical to serial regardless of completion order.
 
-Dispatch is **straggler-aware**: with per-task timings installed
-(:func:`configure_cost_hints`, fed from ``BENCH_<rev>.json`` snapshots
-or a bench run's own serial pass), tasks dispatch longest-expected-first
-so the slowest cell never starts last; unknown cells go first (they
-*could* be the longest).  Each parallel execution records a
-:class:`PoolStats` — per-worker utilisation, shipped IPC bytes, shared-
-memory bytes — retrievable via :func:`last_pool_stats`.
+Tasks dispatch in submission order to whichever worker is idle.  Each
+parallel execution records a :class:`PoolStats` — per-worker
+utilisation, shipped IPC bytes, shared-memory bytes — retrievable via
+:func:`last_pool_stats`.
 
 A failing task raises :class:`TaskError` carrying the task's ``fn``
 spec, its canonicalised kwargs and the worker's traceback; a *crashing*
@@ -34,7 +31,6 @@ respawns a replacement while work remains.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import json
 import pickle
@@ -128,23 +124,6 @@ def _invoke(task: Task) -> Any:
             fn=task.fn, kwargs=described) from exc
 
 
-def task_cost_key(fn: str, kwargs: Mapping[str, Any]) -> str:
-    """Stable identity for per-task timing hints.
-
-    Unlike the result-cache key this excludes the source-tree
-    fingerprint: a code edit rarely reorders cells by cost, and a stale
-    hint only affects dispatch order, never results.
-    """
-    from .cache import canonical
-    try:
-        params: Any = canonical(dict(kwargs))
-    except ReproError:
-        params = repr(sorted(kwargs))
-    material = json.dumps({"fn": fn, "params": params}, sort_keys=True,
-                          separators=(",", ":"))
-    return hashlib.sha256(material.encode()).hexdigest()[:16]
-
-
 @dataclass
 class PoolStats:
     """Telemetry for one parallel :func:`run_tasks` execution."""
@@ -163,8 +142,6 @@ class PoolStats:
     busy_seconds: dict[int, float] = field(default_factory=dict)
     #: worker id -> tasks completed
     worker_tasks: dict[int, int] = field(default_factory=dict)
-    #: task cost key -> observed wall seconds (feeds future dispatch)
-    task_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def ipc_bytes_shipped(self) -> int:
@@ -184,31 +161,10 @@ class PoolStats:
             return 0.0
         return sum(util.values()) / len(util)
 
-    def as_dict(self) -> dict:
-        """JSON-serialisable form (what bench snapshots embed)."""
-        return {
-            "workers": self.workers,
-            "wall_seconds": self.wall_seconds,
-            "tasks": self.tasks,
-            "ipc_bytes_shipped": self.ipc_bytes_shipped,
-            "ipc_task_bytes": self.ipc_task_bytes,
-            "ipc_result_bytes": self.ipc_result_bytes,
-            "shm_bytes": self.shm_bytes,
-            "respawns": self.respawns,
-            "worker_utilisation": self.worker_utilisation(),
-            "mean_utilisation": self.mean_utilisation(),
-            "task_seconds": dict(self.task_seconds),
-        }
-
 
 #: stats of the most recent parallel execution in this process
 #: (diagnostics; the CLI prints them after a --parallel run)
 _LAST_STATS: PoolStats | None = None
-
-#: expected per-task seconds keyed by :func:`task_cost_key`, consulted
-#: when run_tasks gets no explicit hints (installed by the CLI from the
-#: latest bench snapshot)
-_COST_HINTS: dict[str, float] = {}
 
 
 def last_pool_stats() -> PoolStats | None:
@@ -216,16 +172,8 @@ def last_pool_stats() -> PoolStats | None:
     return _LAST_STATS
 
 
-def configure_cost_hints(hints: Mapping[str, float] | None) -> None:
-    """Install (or with ``None`` clear) process-wide dispatch hints."""
-    _COST_HINTS.clear()
-    if hints:
-        _COST_HINTS.update(hints)
-
-
 def run_tasks(tasks: Iterable[Task], parallel: int = 1,
               cache: Any = None,
-              cost_hints: Mapping[str, float] | None = None,
               stats: PoolStats | None = None) -> list[Any]:
     """Run every task; results in submission order.
 
@@ -233,7 +181,7 @@ def run_tasks(tasks: Iterable[Task], parallel: int = 1,
     serial loop in this process — no pool, no pickling, no import
     indirection beyond :func:`resolve`.  Larger values fan tasks across
     at most ``parallel`` persistent spawn workers: shared atoms publish
-    once over shared memory, dispatch is longest-expected-first, and
+    once over shared memory, tasks dispatch in submission order, and
     results merge back by submission index so parallel output is
     bit-identical to serial.
 
@@ -244,8 +192,6 @@ def run_tasks(tasks: Iterable[Task], parallel: int = 1,
     in the parent, so only cache misses are executed and hits merge
     back into their original submission slots.
 
-    ``cost_hints`` maps :func:`task_cost_key` to expected seconds
-    (defaults to the hints installed via :func:`configure_cost_hints`);
     ``stats`` collects a caller-visible :class:`PoolStats`.
     """
     task_list = list(tasks)
@@ -255,8 +201,7 @@ def run_tasks(tasks: Iterable[Task], parallel: int = 1,
     from .cache import resolve_cache
     store = resolve_cache(cache)
     if store is None:
-        return _execute(task_list, parallel, cost_hints=cost_hints,
-                        stats=stats)
+        return _execute(task_list, parallel, stats=stats)
 
     results: list[Any] = [None] * len(task_list)
     misses: list[tuple[int, Task, str]] = []
@@ -269,21 +214,20 @@ def run_tasks(tasks: Iterable[Task], parallel: int = 1,
             misses.append((index, task, key))
     for (index, _, key), value in zip(
             misses, _execute([task for _, task, _ in misses], parallel,
-                             cost_hints=cost_hints, stats=stats)):
+                             stats=stats)):
         results[index] = value
         store.store(key, value)
     return results
 
 
 def _execute(task_list: list[Task], parallel: int,
-             cost_hints: Mapping[str, float] | None = None,
              stats: PoolStats | None = None) -> list[Any]:
     """Run tasks serially or across the pool; submission order."""
     if parallel == 1 or len(task_list) <= 1:
         return [_invoke(task) for task in task_list]
     workers = min(parallel, len(task_list))
     outcomes = _run_pool(task_list, workers, get_context("spawn"),
-                         cost_hints=cost_hints, stats=stats)
+                         stats=stats)
     failures = [(index, outcome) for index, outcome in
                 enumerate(outcomes)
                 if outcome is not None and outcome.failure is not None]
@@ -329,23 +273,6 @@ class _Outcome:
     failure: dict | None = None
 
 
-def _dispatch_order(keys: list[str],
-                    hints: Mapping[str, float]) -> list[int]:
-    """Submission indices, longest-expected-first.
-
-    Tasks without a recorded timing dispatch first — an unknown cell
-    could be the longest, and starting it late is the worst case —
-    then known cells longest-first; ties keep submission order.
-    """
-    def rank(index: int) -> tuple:
-        hint = hints.get(keys[index])
-        if hint is None:
-            return (0, 0.0, index)
-        return (1, -float(hint), index)
-
-    return sorted(range(len(keys)), key=rank)
-
-
 def _worker_main(worker_id: int, task_queue: Any, result_queue: Any,
                  handle: Any) -> None:
     """Long-lived worker loop: attach the atom store once, then serve.
@@ -376,7 +303,6 @@ def _worker_main(worker_id: int, task_queue: Any, result_queue: Any,
 
 
 def _run_pool(task_list: list[Task], workers: int, context: Any,
-              cost_hints: Mapping[str, float] | None = None,
               stats: PoolStats | None = None,
               fail_fast: bool = True) -> list["_Outcome | None"]:
     """Drive tasks across persistent workers; one outcome per index.
@@ -390,13 +316,10 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
     outcomes are tasks never attempted (dispatch aborted first).
     """
     global _LAST_STATS
-    hints = dict(cost_hints) if cost_hints is not None \
-        else dict(_COST_HINTS)
     if stats is None:
         stats = PoolStats()
     stats.workers = workers
-    keys = [task_cost_key(task.fn, task.kwargs) for task in task_list]
-    order = deque(_dispatch_order(keys, hints))
+    order = deque(range(len(task_list)))
     outcomes: list[_Outcome | None] = [None] * len(task_list)
     start_wall = time.perf_counter()
     atom_store = SharedAtomStore()
@@ -524,7 +447,6 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
                     stats.busy_seconds.get(wid, 0.0) + seconds)
                 stats.worker_tasks[wid] = (
                     stats.worker_tasks.get(wid, 0) + 1)
-                stats.task_seconds[keys[index]] = seconds
                 if ok:
                     try:
                         value = loads_with_atoms(body, atom_store.get)

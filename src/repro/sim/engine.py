@@ -64,7 +64,8 @@ from typing import Any
 from ..errors import SimulationError
 
 #: events delivered by every Simulator in this process (host telemetry
-#: for ``repro bench``; deliberately not part of any snapshot)
+#: read by the benchmark harness under ``benchmarks/harness/``;
+#: deliberately not part of any snapshot)
 _DELIVERED_TOTAL = 0
 
 #: compaction floor: below this many dead cells the queue is left alone

@@ -7,7 +7,7 @@ import pytest
 from repro.config import SchedulerConfig
 from repro.hardware.prebuilt import small_numa
 from repro.opsys.system import OperatingSystem
-from repro.opsys.thread import ThreadState
+from repro.opsys.thread import SimThread, ThreadState
 from repro.opsys.workitem import ListWorkSource, WorkItem
 from repro.sim.tracing import MigrationRecord
 
@@ -182,6 +182,29 @@ class TestLoadBalancing:
         os_.run_until_idle()
         # both finish; no deadlock
         assert sources[0].finished and sources[1].finished
+
+    def test_idle_pull_drains_long_queue_without_recursion(self):
+        # an idle core pulls finished threads one at a time; each pull
+        # must not add stack frames (2000 threads exceed the default
+        # recursion limit of 1000 if it does)
+        os_ = make_os(balance_interval=10.0)
+        sched = os_.scheduler
+        threads = []
+        for _ in range(2000):
+            thread = SimThread(ListWorkSource())
+            thread.state = ThreadState.READY
+            sched._live_threads += 1
+            sched.threads.add(thread)
+            thread.core = 0
+            sched._queues[0].append(thread)
+            sched._load[0] += 1
+            threads.append(thread)
+        sched._dispatch(1)
+        assert all(t.state is ThreadState.DONE for t in threads)
+        assert [t.core for t in threads] == [1] * len(threads)
+        assert not sched._queues[0] and sched._load[0] == 0
+        assert sched.live_threads() == 0
+        assert os_.counters.total("stolen_tasks") == len(threads)
 
     def test_steals_recorded_under_oversubscription(self):
         os_ = make_os(balance_interval=0.001)

@@ -26,7 +26,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.runner.pool as pool_mod
 from repro.runner.pool import PoolStats, Task, _run_pool
 
 _SPEC = "tests.test_props_pool:_work"
@@ -166,30 +165,3 @@ def test_segments_unlink_even_when_tasks_fail(fail_fast, workers,
     _run_pool(tasks, min(workers, n_tasks), _ThreadContext(),
               fail_fast=fail_fast)
     assert _leaked_segments() == []
-
-
-def test_dispatch_respects_cost_hints_longest_first():
-    # deterministic unit for the straggler policy: with hints, the
-    # longest-expected task reaches a worker first even when submitted
-    # last — observable through a single-worker execution order
-    seen = []
-    original = pool_mod._dispatch_order
-    durations = [0.001, 0.002, 0.005]
-    tasks = [Task(_SPEC, dict(index=i, duration=d))
-             for i, d in enumerate(durations)]
-    keys = [pool_mod.task_cost_key(t.fn, t.kwargs) for t in tasks]
-    hints = {k: d for k, d in zip(keys, durations)}
-
-    def spy(keys_arg, hints_arg):
-        order = original(keys_arg, hints_arg)
-        seen.append(order)
-        return order
-
-    pool_mod._dispatch_order = spy
-    try:
-        outcomes = _run_pool(tasks, 1, _ThreadContext(),
-                             cost_hints=hints)
-    finally:
-        pool_mod._dispatch_order = original
-    assert seen == [[2, 1, 0]]  # longest expected first
-    assert [o.value for o in outcomes] == [0, 1, 2]  # merged by slot

@@ -14,7 +14,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.runner.bench import run_bench
 from repro.runner.cache import (ResultCache, canonical, configure,
                                 current, resolve_cache, tree_fingerprint)
 from repro.runner.pool import Task, run_tasks
@@ -190,30 +189,6 @@ def test_env_var_activates_cache(tmp_path, monkeypatch):
     store = current()
     assert store is not None
     assert store.directory == tmp_path / "envcache"
-
-
-# ---------------------------------------------------------------------
-# bench integration
-
-
-def test_run_bench_replays_cached_entries(tmp_path):
-    cache = ResultCache(directory=tmp_path / "c")
-    cold = run_bench(names=("fig7",), cache=cache)
-    assert cold.cached == []
-    assert cold.events["fig7"] > 0
-    warm = run_bench(names=("fig7",), cache=cache)
-    assert warm.cached == ["fig7"]
-    # replayed timings and event counts are the original run's
-    assert warm.experiments["fig7"][0] == cold.experiments["fig7"][0]
-    assert warm.events["fig7"] == cold.events["fig7"]
-    assert "(cached)" in warm.table()
-    assert "events/s" in warm.table()
-    # snapshots carry the events and cached fields through json
-    from repro.runner.bench import _report_from_dict
-
-    round_tripped = _report_from_dict(warm.as_dict())
-    assert round_tripped.events == warm.events
-    assert round_tripped.cached == ["fig7"]
 
 
 def test_cached_experiment_results_pickle_identically(tmp_path):
