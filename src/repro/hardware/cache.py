@@ -6,11 +6,14 @@ balancer arrive at a socket whose L3 does not hold their pages and must pull
 everything over the interconnect again (§II-B2, §V-A1).  A page-granular LRU
 reproduces exactly that behaviour without simulating cache lines.
 
-Residency is a plain ``dict`` whose insertion order *is* the recency
-order (coldest first): a hit re-inserts its key at the back, a miss
-evicts the front.  Plain-dict operations beat ``OrderedDict``'s linked
-list on every hot operation, and batch paths can rebuild the dict with
-C-level iteration instead of popping pages one by one.
+Residency is run-length encoded: an ordered list of disjoint page
+``range`` runs, coldest first, where the pages inside one run are in
+recency order by ascending id.  Work streams contiguous page runs, so a
+whole run resolves in a few list operations — :meth:`SharedCache.resolve`
+appends a miss block at the back and trims the front, or moves a
+resident block to the back — with exactly the per-page LRU outcome of
+touching its pages one by one.  The list never holds more runs than the
+capacity has pages.
 
 Private L1/L2 effects are folded into the operators' cycles-per-byte
 constants (see :mod:`repro.db.cost`); only the shared L3 is stateful.
@@ -19,6 +22,7 @@ constants (see :mod:`repro.db.cost`); only the shared L3 is stateful.
 from __future__ import annotations
 
 from ..errors import HardwareError
+from ..pages import page_runs
 
 
 class SharedCache:
@@ -29,74 +33,152 @@ class SharedCache:
             raise HardwareError("cache capacity must be at least one page")
         self.capacity_pages = capacity_pages
         self.socket_id = socket_id
-        #: page id -> None, insertion-ordered coldest to hottest
-        self._resident: dict[int, None] = {}
+        #: disjoint resident runs, coldest first
+        self._runs: list[range] = []
+        #: resident pages, the total length of ``_runs``
+        self._size = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def __contains__(self, page: int) -> bool:
-        return page in self._resident
+        return any(page in run for run in self._runs)
 
     def __len__(self) -> int:
-        return len(self._resident)
+        return self._size
+
+    def resolve(self, lo: int, hi: int) -> list[range]:
+        """Touch pages ``lo .. hi - 1`` in ascending order.
+
+        The outcome is that of :meth:`access` page by page: a block of
+        non-resident pages is appended at the back and the coldest pages
+        beyond capacity are evicted from the front; a block of resident
+        pages moves to the back as hits; a page evicted by earlier misses
+        of the same call misses when its turn comes.  Returns the maximal
+        missed sub-runs in order.
+        """
+        runs = self._runs
+        missed: list[range] = []
+        hits = 0
+        pos = lo
+        while pos < hi:
+            # the lowest resident page in [pos, hi), and its run
+            nxt = hi
+            at = -1
+            for i, run in enumerate(runs):
+                start = run.start
+                if start < nxt and run.stop > pos:
+                    at = i
+                    if start <= pos:
+                        nxt = pos
+                        break
+                    nxt = start
+            if nxt > pos:
+                if missed and missed[-1].stop == pos:
+                    # ``pos`` was evicted by this call's earlier misses
+                    missed[-1] = range(missed[-1].start, nxt)
+                else:
+                    missed.append(range(pos, nxt))
+                self._append(pos, nxt)
+                pos = nxt
+                continue
+            run = runs[at]
+            end = run.stop if run.stop < hi else hi
+            pieces = []
+            if run.start < pos:
+                pieces.append(range(run.start, pos))
+            if end < run.stop:
+                pieces.append(range(end, run.stop))
+            runs[at:at + 1] = pieces
+            self._size -= end - pos
+            self._append(pos, end)
+            hits += end - pos
+            pos = end
+        self.hits += hits
+        self.misses += hi - lo - hits
+        return missed
+
+    def _append(self, lo: int, hi: int) -> None:
+        """Insert absent pages ``lo .. hi - 1`` as the hottest, evicting
+        the coldest pages beyond capacity."""
+        runs = self._runs
+        if runs and runs[-1].stop == lo:
+            runs[-1] = range(runs[-1].start, hi)
+        else:
+            runs.append(range(lo, hi))
+        over = self._size + hi - lo - self.capacity_pages
+        if over <= 0:
+            self._size += hi - lo
+            return
+        self._size = self.capacity_pages
+        self.evictions += over
+        k = 0
+        while over >= len(runs[k]):
+            over -= len(runs[k])
+            k += 1
+        del runs[:k]
+        if over:
+            runs[0] = runs[0][over:]
 
     def access(self, page: int) -> bool:
         """Touch one page.  Returns ``True`` on hit, ``False`` on miss.
 
         A miss inserts the page, evicting the least recently used resident
         page when the cache is full.
-
-        .. note:: :meth:`repro.hardware.machine.Machine.touch` inlines this
-           probe (and the hit/miss/eviction accounting) in its fast path;
-           any behaviour change here must be mirrored there.
         """
-        resident = self._resident
-        if page in resident:
-            # re-insert at the back: the plain-dict move_to_end
-            del resident[page]
-            resident[page] = None
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(resident) >= self.capacity_pages:
-            del resident[next(iter(resident))]
-            self.evictions += 1
-        resident[page] = None
-        return False
+        return not self.resolve(page, page + 1)
 
     def access_many(self, pages) -> tuple[int, int]:
         """Touch pages in order; returns ``(hits, misses)``."""
-        hits = 0
-        for page in pages:
-            if self.access(page):
-                hits += 1
-        return hits, len(pages) - hits
+        misses = 0
+        for run in page_runs(pages):
+            misses += sum(map(len, self.resolve(run.start, run.stop)))
+        return len(pages) - misses, misses
 
     def invalidate(self, pages) -> int:
         """Drop specific pages (e.g. on writer invalidation); returns count."""
-        resident = self._resident
-        if not resident:
-            return 0
-        # set intersection walks ``pages`` in C; only actual victims are
-        # then deleted (typically none — cross-socket sharing is rare)
-        common = resident.keys() & pages
-        for page in common:
-            del resident[page]
-        return len(common)
+        return self._drop(page_runs(pages))
+
+    def _drop(self, cuts: list[range]) -> int:
+        """Remove every resident page inside ``cuts``; returns count."""
+        dropped = 0
+        for cut in cuts:
+            lo, hi = cut.start, cut.stop
+            runs = self._runs
+            for run in runs:
+                if run.start < hi and lo < run.stop:
+                    break
+            else:
+                continue
+            kept = []
+            for run in runs:
+                start, stop = run.start, run.stop
+                if stop <= lo or start >= hi:
+                    kept.append(run)
+                    continue
+                if start < lo:
+                    kept.append(range(start, lo))
+                if stop > hi:
+                    kept.append(range(hi, stop))
+                dropped += ((stop if stop < hi else hi)
+                            - (start if start > lo else lo))
+            self._runs = kept
+        self._size -= dropped
+        return dropped
 
     def flush(self) -> None:
         """Empty the cache."""
-        self._resident.clear()
+        self._runs.clear()
+        self._size = 0
 
     def resident_pages(self) -> list[int]:
         """Resident page ids from coldest to hottest."""
-        return list(self._resident)
+        return [page for run in self._runs for page in run]
 
     @property
     def occupancy(self) -> float:
         """Fraction of capacity currently resident."""
-        return len(self._resident) / self.capacity_pages
+        return self._size / self.capacity_pages
 
     def hit_ratio(self) -> float:
         """Lifetime hit ratio; 0.0 before any access."""

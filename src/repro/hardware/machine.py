@@ -2,15 +2,15 @@
 
 The single hot-path entry point is :meth:`Machine.touch` — the OS scheduler
 calls it for every execution chunk with the set of pages the running thread
-streams through.  It resolves each page against the executing socket's L3,
-charges DRAM/interconnect time for misses, and writes every likwid-style
-counter the controller and the experiment harnesses later read.
+streams through.  It resolves the footprint run by run against the
+executing socket's L3, charges DRAM/interconnect time for misses, and
+writes every likwid-style counter the controller and the experiment
+harnesses later read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain, islice
 from typing import NamedTuple
 
 from ..config import MachineConfig
@@ -18,7 +18,7 @@ from ..errors import HardwareError
 from .cache import SharedCache
 from .counters import CounterBank
 from .interconnect import FifoChannel, Interconnect
-from ..pages import PageSegments, VECTOR_MIN_PAGES
+from ..pages import page_runs
 from .memory import UNPLACED, MemorySystem
 from .topology import Topology
 
@@ -74,7 +74,7 @@ class Machine:
         lines = cfg.page_bytes / cfg.cache_line_bytes
         self._latency_per_page = (lines / cfg.memory_parallelism
                                   * cfg.dram_latency)
-        # --- touch() fast-path precomputation ------------------------------
+        # --- touch() precomputation -----------------------------------------
         # every page fetch moves exactly cfg.page_bytes, so bank and link
         # reservation service times are loop invariants; remote paths also
         # fix the hop count, the post-link store-and-forward extra and the
@@ -98,14 +98,10 @@ class Machine:
                     self._latency_per_page * (cfg.remote_penalty ** hops),
                 )
         self._link_service = link_service
-        # the vectorised remote fast path assumes the bank chain alone
-        # paces a single-home batch (the link drains at least as fast as
-        # the bank feeds it); slower links take the scalar loop
+        # a link that drains at least as fast as its bank feeds it, and
+        # is idle when a run's first page leaves the bank, finishes each
+        # page one link service after the bank does
         self._link_after_bank = link_service <= self._bank_service
-        # memoised requester-latency chains: the scalar loop accumulates
-        # ``per_page_latency`` n times from 0.0, an order-sensitive float
-        # fold over only a handful of distinct (latency, n) pairs
-        self._latency_chains: dict[tuple[float, int], float] = {}
         # family handles: one dict probe per counter event instead of a
         # name lookup plus probe (handles survive CounterBank.reset)
         self._f_imc = self.counters.family("imc_bytes")
@@ -129,331 +125,17 @@ class Machine:
 
         Every page must already have a home node — the OS virtual-memory
         layer performs first-touch placement *before* handing work to the
-        hardware (see :class:`repro.opsys.vm.VirtualMemory`).
+        hardware (see :class:`repro.opsys.vm.VirtualMemory`).  A page
+        without one raises before any cache, bank, link or counter
+        changes.
 
         Fetches within one call pipeline: bandwidth reservations at banks
         and links overlap (the batch stalls until the *last* completion),
         while the requester-side line-latency term accumulates per page.
         """
         socket = self.topology.node_of_core(core_id)
-        cache = self.caches[socket]
-        page_bytes = self.memory.page_bytes
-        resident = cache._resident
-
-        # Vectorised fast path: the scheduler streams contiguous page
-        # ranges, and the dominant batch shape is all-miss/single-home —
-        # resolved here with array slices and one cumulative-sum chain
-        # instead of the per-page loop.  Falls through (returns None)
-        # for partial hits, multi-home batches and congested links.
-        if (type(pages) is range and pages.step == 1
-                and pages.stop - pages.start >= VECTOR_MIN_PAGES
-                and 0 <= pages.start
-                and pages.stop <= self.memory._next_page
-                and resident.keys().isdisjoint(pages)):
-            result = self._touch_all_miss(now, socket, cache, pages)
-            if result is not None:
-                return result
-        elif type(pages) is PageSegments and len(pages) >= VECTOR_MIN_PAGES:
-            # chunk boundaries slice across run boundaries; the footprint
-            # stays piecewise contiguous, so resolve run by run
-            result = self._touch_segments(now, socket, cache, pages)
-            if result is not None:
-                return result
-
-        # The loop below is the scalar hot path.  It is the seed
-        # implementation with every per-page function call flattened
-        # into locals: the L3 LRU probe mirrors SharedCache.access, the
-        # bank/link reservations mirror FifoChannel.reserve with the
-        # loop-invariant service times precomputed in __init__, and the
-        # remote hop latency comes from the per-pair table.  Float
-        # operations keep their exact order, so traces stay bit-identical.
-        capacity = cache.capacity_pages
-        home_arr = self.memory._home
-        next_page = self.memory._next_page
-        banks = self.banks
-        remote_paths = self._remote_paths
-        bank_service = self._bank_service
-        link_service = self._link_service
-        latency_per_page = self._latency_per_page
-
-        latency_stall = 0.0
-        batch_done = now
-        hits = 0
-        evictions = 0
-        remote_misses = 0
-        bytes_local = 0
-        bytes_remote = 0
-        imc_pages: dict[int, int] = {}
-
-        resident_pop = resident.pop
-        for page in pages:
-            if resident_pop(page, 0) is None:
-                # plain-dict move_to_end: pop re-inserts at the back
-                # (resident values are always None, so None == hit)
-                resident[page] = None
-                hits += 1
-                continue
-            if len(resident) >= capacity:
-                del resident[next(iter(resident))]
-                evictions += 1
-            resident[page] = None
-            home = (home_arr[page] if 0 <= page < next_page
-                    else UNPLACED)
-            if home == UNPLACED:
-                raise HardwareError(
-                    f"page {page} touched before first-touch placement")
-            imc_pages[home] = imc_pages.get(home, 0) + 1
-            bank = banks[home]
-            free = bank._free_at
-            bank_done = ((now if now > free else free)
-                         + bank_service)
-            bank._free_at = bank_done
-            if home == socket:
-                bytes_local += page_bytes
-                done = bank_done
-                latency_stall += latency_per_page
-            else:
-                bytes_remote += page_bytes
-                remote_misses += 1
-                # remote miss: read from the home bank, cross the fabric,
-                # and stall the requester for the extra line latency
-                link, extra, remote_latency = remote_paths[(home, socket)]
-                link_free = link._free_at
-                done = ((bank_done if bank_done > link_free
-                         else link_free) + link_service)
-                link._free_at = done
-                if extra:
-                    done += extra
-                latency_stall += remote_latency
-            if done > batch_done:
-                batch_done = done
-        stall = (batch_done - now) + latency_stall
-
-        misses = len(pages) - hits
-        cache.hits += hits
-        cache.misses += misses
-        cache.evictions += evictions
-        for home, n_pages in imc_pages.items():
-            self._f_imc.add(home, n_pages * page_bytes)
-            if home != socket:
-                # outbound link traffic, attributed to the sending node
-                # exactly as Interconnect.transfer does
-                self._f_ht_tx.add(home, n_pages * page_bytes)
-        self._f_l3_hit.add(socket, hits)
-        self._f_l3_miss.add(socket, misses)
-        return AccessResult(
-            stall_time=stall,
-            hits=hits,
-            misses=misses,
-            remote_misses=remote_misses,
-            bytes_local=bytes_local,
-            bytes_remote=bytes_remote,
-        )
-
-    def _touch_all_miss(self, now: float, socket: int, cache: SharedCache,
-                        pages: range) -> AccessResult | None:
-        """All-miss batch over one contiguous range, without the loop.
-
-        Applies only when every page shares one home node and (for a
-        remote home) the link is idle enough that the bank chain alone
-        paces the batch; returns ``None`` otherwise and the scalar loop
-        takes over.  Every float is produced by the same left-to-right
-        addition sequence the per-page loop performs, so results are
-        bit-identical; the per-page work that remains is two running
-        float additions, everything else is C-level bulk operations
-        (the home-map uniformity probe is one ``bytes`` comparison, the
-        LRU eviction one dict rebuild).
-        """
-        n = len(pages)
-        span_bytes = self.memory._home[pages.start:pages.stop].tobytes()
-        if span_bytes != span_bytes[:2] * n:
-            return None
-        home0 = self.memory._home[pages.start]
-        if home0 == UNPLACED:
-            return None
-        resident = cache._resident
-        overflow = len(resident) + n - cache.capacity_pages
-        if overflow > len(resident):
-            # the batch alone overflows the cache: insertions would
-            # start evicting their own batch, a job for the loop
-            return None
-        bank = self.banks[home0]
-        bank_free = bank._free_at
-        first = (now if now > bank_free else bank_free) + self._bank_service
-        remote = home0 != socket
-        if remote:
-            link, extra, remote_latency = self._remote_paths[
-                (home0, socket)]
-            if not (self._link_after_bank and link._free_at <= first):
-                return None
-        # --- commit: no fallback past this point -----------------------
-        if overflow > 0:
-            # evict the ``overflow`` coldest and append the batch in one
-            # C-level rebuild (the batch is disjoint from the survivors)
-            cache._resident = dict.fromkeys(
-                chain(islice(resident, overflow, None), pages))
-            cache.evictions += overflow
-        else:
-            resident.update(dict.fromkeys(pages))
-        per_page_latency = (remote_latency if remote
-                            else self._latency_per_page)
-        bank_service = self._bank_service
-        last = first
-        for _ in range(n - 1):
-            last += bank_service
-        chains = self._latency_chains
-        latency_stall = chains.get((per_page_latency, n))
-        if latency_stall is None:
-            latency_stall = 0.0
-            for _ in range(n):
-                latency_stall += per_page_latency
-            chains[(per_page_latency, n)] = latency_stall
-        bank._free_at = last
-        nbytes = n * self.memory.page_bytes
-        cache.misses += n
-        self._f_imc.add(home0, nbytes)
-        if remote:
-            self._f_ht_tx.add(home0, nbytes)
-            done = last + self._link_service
-            link._free_at = done
-            if extra:
-                done += extra
-            batch_done = done
-            bytes_local, bytes_remote, remote_misses = 0, nbytes, n
-        else:
-            batch_done = last
-            bytes_local, bytes_remote, remote_misses = nbytes, 0, 0
-        self._f_l3_hit.add(socket, 0)
-        self._f_l3_miss.add(socket, n)
-        return AccessResult(
-            stall_time=(batch_done - now) + latency_stall,
-            hits=0,
-            misses=n,
-            remote_misses=remote_misses,
-            bytes_local=bytes_local,
-            bytes_remote=bytes_remote,
-        )
-
-    def _touch_segments(self, now: float, socket: int, cache: SharedCache,
-                        pages: PageSegments) -> AccessResult | None:
-        """All-miss batch over several contiguous runs.
-
-        The piecewise analogue of :meth:`_touch_all_miss`: each run must
-        be a uniform-home, cache-disjoint contiguous range (runs also
-        pairwise disjoint, so later runs cannot hit pages inserted by
-        earlier ones), and remote runs need the bank chain to pace the
-        link.  Validation commits nothing — any disqualified run sends
-        the whole batch to the scalar loop — and the link check only
-        needs the *pre-batch* link backlog: a later run over the same
-        link shares the same home bank, whose chain (service >= link
-        service) always outruns the link it feeds.
-
-        The commit replays the scalar loop run by run: the bank chain
-        threads through ``_free_at`` exactly as consecutive pages would,
-        the latency accumulator carries across runs, and the batch
-        completes at the last-finishing run.  Counters are flushed once
-        at the end in first-seen home order, matching the scalar tail
-        (page counts and byte totals are exact integers, so per-home
-        grouping cannot change the stored floats).
-        """
-        segments = pages._segments
-        home_mem = self.memory._home
-        next_page = self.memory._next_page
-        bank_service = self._bank_service
-        resident = cache._resident
-        capacity = cache.capacity_pages
-        # --- validation: no state is touched until every run qualifies
-        size = len(resident)
-        spans: list[tuple[int, int]] = []
-        for run in segments:
-            if not (type(run) is range and run.step == 1 and len(run)
-                    and 0 <= run.start and run.stop <= next_page):
-                return None
-            for seen_start, seen_stop in spans:
-                if run.start < seen_stop and seen_start < run.stop:
-                    return None
-            spans.append((run.start, run.stop))
-            if not resident.keys().isdisjoint(run):
-                return None
-            n = run.stop - run.start
-            span_bytes = home_mem[run.start:run.stop].tobytes()
-            if span_bytes != span_bytes[:2] * n:
-                return None
-            home = home_mem[run.start]
-            if home == UNPLACED:
-                return None
-            overflow = size + n - capacity
-            if overflow > size:
-                return None
-            size += n if overflow <= 0 else n - overflow
-            if home != socket:
-                link = self._remote_paths[(home, socket)][0]
-                first = self.banks[home]._free_at
-                first = (now if now > first else first) + bank_service
-                if not (self._link_after_bank and link._free_at <= first):
-                    return None
-        # --- commit: no fallback past this point -----------------------
-        page_bytes = self.memory.page_bytes
-        link_service = self._link_service
-        latency_stall = 0.0
-        batch_done = now
-        misses = 0
-        bytes_local = 0
-        bytes_remote = 0
-        remote_misses = 0
-        imc_pages: dict[int, int] = {}
-        for run in segments:
-            n = run.stop - run.start
-            home = home_mem[run.start]
-            overflow = len(resident) + n - capacity
-            if overflow > 0:
-                cache._resident = resident = dict.fromkeys(
-                    chain(islice(resident, overflow, None), run))
-                cache.evictions += overflow
-            else:
-                resident.update(dict.fromkeys(run))
-            bank = self.banks[home]
-            free = bank._free_at
-            last = (now if now > free else free) + bank_service
-            for _ in range(n - 1):
-                last += bank_service
-            bank._free_at = last
-            if home != socket:
-                link, extra, remote_latency = self._remote_paths[
-                    (home, socket)]
-                for _ in range(n):
-                    latency_stall += remote_latency
-                done = last + link_service
-                link._free_at = done
-                if extra:
-                    done += extra
-                bytes_remote += n * page_bytes
-                remote_misses += n
-            else:
-                latency_per_page = self._latency_per_page
-                for _ in range(n):
-                    latency_stall += latency_per_page
-                done = last
-                bytes_local += n * page_bytes
-            if done > batch_done:
-                batch_done = done
-            imc_pages[home] = imc_pages.get(home, 0) + n
-            misses += n
-        cache.misses += misses
-        for home, n_pages in imc_pages.items():
-            self._f_imc.add(home, n_pages * page_bytes)
-            if home != socket:
-                self._f_ht_tx.add(home, n_pages * page_bytes)
-        self._f_l3_hit.add(socket, 0)
-        self._f_l3_miss.add(socket, misses)
-        return AccessResult(
-            stall_time=(batch_done - now) + latency_stall,
-            hits=0,
-            misses=misses,
-            remote_misses=remote_misses,
-            bytes_local=bytes_local,
-            bytes_remote=bytes_remote,
-        )
+        runs, homes = self._placed_runs(pages, core_id, socket)
+        return self._stream(now, socket, runs, homes, len(pages))
 
     def touch_write(self, now: float, core_id: int,
                     pages: Sequence[int]) -> AccessResult:
@@ -463,13 +145,135 @@ class Machine:
         same cache memory" being split across nodes).  Invalidations are
         counted per victim socket as ``l3_invalidations``."""
         socket = self.topology.node_of_core(core_id)
+        runs, homes = self._placed_runs(pages, core_id, socket)
         for other, cache in enumerate(self.caches):
-            if other == socket or not cache._resident:
+            if other == socket or not cache._size:
                 continue
-            dropped = cache.invalidate(pages)
+            dropped = cache._drop(runs)
             if dropped:
                 self._f_l3_inval.add(other, dropped)
-        return self.touch(now, core_id, pages)
+        return self._stream(now, socket, runs, homes, len(pages))
+
+    def _placed_runs(self, pages: Sequence[int], core_id: int, socket: int
+                     ) -> tuple[list[range], list[list[tuple[int, int, int]]]]:
+        """The footprint as page runs, each split into same-home sub-runs.
+
+        Validates the whole footprint first: a page that was never
+        allocated or never placed raises, naming the page, core and
+        socket, before the caller writes any state.
+        """
+        memory = self.memory
+        next_page = memory._next_page
+        runs = page_runs(pages)
+        homes = []
+        for run in runs:
+            if 0 <= run.start and run.stop <= next_page:
+                split = memory.home_runs(run.start, run.stop)
+                for _, _, home in split:
+                    if home == UNPLACED:
+                        break
+                else:
+                    homes.append(split)
+                    continue
+            page = next(p for p in run if memory.home(p) == UNPLACED)
+            raise HardwareError(
+                f"page {page} touched before first-touch placement "
+                f"(core {core_id}, socket {socket})")
+        return runs, homes
+
+    def _stream(self, now: float, socket: int, runs: list[range],
+                homes: list[list[tuple[int, int, int]]],
+                n_pages: int) -> AccessResult:
+        """Resolve validated runs against the L3 and charge the misses.
+
+        Each run resolves in one :meth:`SharedCache.resolve`; every
+        missed sub-run is charged per same-home piece.  Consecutive
+        misses on one bank chain their reservations, so a piece's bank,
+        link and requester-latency terms are the same left-to-right float
+        folds the per-page model performs, and the results are
+        bit-identical to streaming the pages one by one.
+        """
+        cache = self.caches[socket]
+        page_bytes = self.memory.page_bytes
+        banks = self.banks
+        remote_paths = self._remote_paths
+        bank_service = self._bank_service
+        link_service = self._link_service
+        latency_per_page = self._latency_per_page
+
+        latency_stall = 0.0
+        batch_done = now
+        misses = 0
+        remote_misses = 0
+        bytes_local = 0
+        bytes_remote = 0
+        imc_pages: dict[int, int] = {}
+        for run, split in zip(runs, homes):
+            for missed in cache.resolve(run.start, run.stop):
+                a, b = missed.start, missed.stop
+                misses += b - a
+                for lo, hi, home in split:
+                    if hi <= a:
+                        continue
+                    if lo >= b:
+                        break
+                    n = (hi if hi < b else b) - (lo if lo > a else a)
+                    imc_pages[home] = imc_pages.get(home, 0) + n
+                    bank = banks[home]
+                    free = bank._free_at
+                    first = last = ((now if now > free else free)
+                                    + bank_service)
+                    if home == socket:
+                        latency = latency_per_page
+                    else:
+                        link, extra, latency = remote_paths[(home, socket)]
+                    for _ in range(n - 1):
+                        last += bank_service
+                        latency_stall += latency
+                    latency_stall += latency
+                    bank._free_at = last
+                    if home == socket:
+                        bytes_local += n * page_bytes
+                        done = last
+                    else:
+                        bytes_remote += n * page_bytes
+                        remote_misses += n
+                        done = link._free_at
+                        if self._link_after_bank and done <= first:
+                            # the bank chain paces the link throughout
+                            done = last + link_service
+                        else:
+                            # a busy or slower link: fold page by page
+                            bank_done = first
+                            done = ((first if first > done else done)
+                                    + link_service)
+                            for _ in range(n - 1):
+                                bank_done += bank_service
+                                done = ((bank_done if bank_done > done
+                                         else done) + link_service)
+                        link._free_at = done
+                        if extra:
+                            done += extra
+                    if done > batch_done:
+                        batch_done = done
+
+        for home, n in imc_pages.items():
+            self._f_imc.add(home, n * page_bytes)
+            if home != socket:
+                # outbound link traffic, attributed to the sending node
+                # exactly as Interconnect.transfer does
+                self._f_ht_tx.add(home, n * page_bytes)
+        hits = n_pages - misses
+        self._f_l3_hit.add(socket, hits)
+        self._f_l3_miss.add(socket, misses)
+        return AccessResult(
+            stall_time=(batch_done - now) + latency_stall,
+            hits=hits,
+            misses=misses,
+            remote_misses=remote_misses,
+            bytes_local=bytes_local,
+            bytes_remote=bytes_remote,
+        )
 
     def account_busy(self, core_id: int, seconds: float) -> None:
         """Record core busy time (the mpstat source)."""

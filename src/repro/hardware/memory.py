@@ -143,6 +143,37 @@ class MemorySystem:
             return UNPLACED
         return self._home[page]
 
+    def home_runs(self, start: int, stop: int) -> list[tuple[int, int, int]]:
+        """Allocated pages ``start .. stop - 1`` split into maximal
+        same-home sub-runs, as ``(lo, hi, home)`` triples in page order.
+
+        A uniform span costs one ``bytes`` comparison; a mixed one finds
+        each boundary by galloping over the same comparison, which is
+        monotone in the prefix length.
+        """
+        home = self._home
+        span = home[start:stop].tobytes()
+        n = stop - start
+        if span == span[:2] * n:
+            return [(start, stop, home[start])] if n > 0 else []
+        runs = []
+        i = 0
+        while i < n:
+            cell = span[2 * i:2 * i + 2]
+            # cells [i, lo) share ``cell``; the sub-run ends in [lo, hi]
+            lo, hi, step = i + 1, n, 1
+            while lo < hi:
+                mid = lo + step if lo + step < hi else hi
+                if span[2 * i:2 * mid] == cell * (mid - i):
+                    lo = mid
+                    step *= 2
+                else:
+                    hi = mid - 1
+                    step = 1
+            runs.append((start + i, start + lo, home[start + i]))
+            i = lo
+        return runs
+
     def is_placed(self, page: int) -> bool:
         """Whether ``page`` already has a home node."""
         return (0 <= page < self._next_page

@@ -16,11 +16,10 @@ The per-page "which nodes mapped this" state is a dense ``bytearray``
 bitmask indexed by page id (bit ``n`` = node ``n``), mirroring the dense
 home map in :mod:`repro.hardware.memory`.  The hot
 :meth:`VirtualMemory.touch_pages` call — one per execution chunk —
-receives contiguous page ranges from the scheduler; fault detection runs
-as one ``bytes.translate`` + ``count`` over the bitmask slice, and the
-common uniform-home batches resolve placement and the residency
-histogram in O(1).  Irregular inputs take the per-page path with
-identical semantics.
+takes any footprint as page runs (:func:`repro.pages.page_runs`) and
+each run as same-home sub-runs: fault detection is one
+``bytes.translate`` + ``count`` over the bitmask slice, and placement
+and the residency histogram resolve per sub-run in O(1).
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ from collections.abc import Sequence
 
 from ..errors import HardwareError
 from ..hardware.machine import Machine
-from ..hardware.memory import (UNPLACED, UNPLACED_PATTERN as
-                               _UNPLACED_PATTERN, home_run)
-from ..pages import PageSegments, VECTOR_MIN_PAGES
+from ..hardware.memory import UNPLACED, home_run
+from ..pages import page_runs
 from .thread import SimThread
 
 
@@ -90,131 +88,67 @@ class VirtualMemory:
         Unplaced pages are first-touched (placed on ``node``); already-placed
         pages seen from a new node raise a remote-access minor fault.  The
         number of minor faults raised is returned and counted per node.
+        A bad node, a never-allocated page or a full memory bank raises
+        before any mapping, placement or counter changes.
         """
         memory = self.machine.memory
-        if (type(pages) is range and pages.step == 1
-                and len(pages) >= VECTOR_MIN_PAGES
-                and 0 <= pages.start
-                and pages.stop <= memory._next_page
-                and 0 <= node < self.machine.topology.n_sockets):
-            faults = self._touch_range(pages, node, thread, memory)
-        elif (type(pages) is PageSegments
-                and len(pages) >= VECTOR_MIN_PAGES
-                and 0 <= node < self.machine.topology.n_sockets
-                and all(type(run) is range and run.step == 1 and len(run)
-                        and 0 <= run.start
-                        and run.stop <= memory._next_page
-                        for run in pages._segments)):
-            # piecewise-contiguous footprint: each run takes the bulk
-            # path on its own (mapping state commits run by run, so a
-            # page shared between runs still faults at most once)
-            faults = 0
-            for run in pages._segments:
-                faults += self._touch_range(run, node, thread, memory)
-        else:
-            faults = self._touch_each(pages, node, thread, memory)
+        runs = page_runs(pages)
+        self._check(runs, len(pages), node, memory)
+        faults = 0
+        for run in runs:
+            faults += self._touch_range(run, node, thread, memory)
         if faults:
             self._f_minor.add(node, faults)
         if self.numa_balancing:
             self._autonuma(pages, node)
         return faults
 
+    def _check(self, runs: list[range], n_pages: int, node: int,
+               memory) -> None:
+        """Reject a touch that would fail part-way through."""
+        if not 0 <= node < self.machine.topology.n_sockets:
+            raise HardwareError(f"node {node} out of range")
+        next_page = memory._next_page
+        for run in runs:
+            if run.start < 0 or run.stop > next_page:
+                page = (run.start if run.start < 0
+                        else max(run.start, next_page))
+                raise HardwareError(f"page {page} was never allocated")
+        if memory._pages_per_node[node] + n_pages > memory.bank_pages:
+            # only unplaced pages land on the bank, each once
+            home = memory._home
+            fresh = {page for run in runs for page in run
+                     if home[page] == UNPLACED}
+            if memory._pages_per_node[node] + len(fresh) > memory.bank_pages:
+                raise HardwareError(f"memory bank of node {node} is full")
+
     def _touch_range(self, pages: range, node: int,
                      thread: SimThread | None, memory) -> int:
-        """Bulk path for one contiguous allocated range.
+        """Map one contiguous allocated run from ``node``.
 
-        The overwhelmingly common batches — a cold range first-touched in
-        one piece, or a warm range re-streamed from any node — have a
-        *uniform* home-map run, detected with one ``bytes`` comparison.
-        Those resolve with no per-page work at all; mixed-home ranges
-        fall back to the per-page loop unchanged.
+        Each same-home sub-run resolves with no per-page work: faults
+        are one ``bytes.translate`` + ``count`` over the bitmask slice,
+        an unplaced sub-run first-touches onto ``node`` in one store
+        (nothing can have mapped a page without placing it), and the
+        residency histogram takes one entry.
         """
-        start, stop = pages.start, pages.stop
-        n = stop - start
-        mapped = self._mapped_span(stop)
-        segment = bytes(mapped[start:stop])
+        mapped = self._mapped_span(pages.stop)
         seen_tbl, set_tbl = self._tables(node)
-        faults = n - segment.translate(seen_tbl).count(1)
         home_arr = memory._home
-        span_bytes = home_arr[start:stop].tobytes()
-        if span_bytes != span_bytes[:2] * n:
-            # mixed homes: per-page semantics, minus the double count
-            # (the caller adds the returned faults to the counter)
-            return self._touch_each(pages, node, thread, memory)
-        if faults:
-            if span_bytes[:2] == _UNPLACED_PATTERN:
-                # uniform-unplaced implies nothing mapped it yet: the
-                # whole range first-touches onto ``node`` in one store
-                if (memory._pages_per_node[node] + n
-                        > memory.bank_pages):
-                    raise HardwareError(
-                        f"memory bank of node {node} is full")
-                home_arr[start:stop] = home_run(node, n)
-                memory._pages_per_node[node] += n
-            mapped[start:stop] = segment.translate(set_tbl)
-            if thread is not None:
-                thread.note_pages(home_arr[start], n)
-            return faults
-        if thread is not None and span_bytes[:2] != _UNPLACED_PATTERN:
-            # warm uniform batch: the residency histogram is one entry
-            thread.note_pages(home_arr[start], n)
-        return faults
-
-    def _touch_each(self, pages: Sequence[int], node: int,
-                    thread: SimThread | None, memory) -> int:
-        """Per-page path for arbitrary page sequences.
-
-        One pass: fault detection and the residency histogram share the
-        loop.  A page queued for first-touch placement is counted under
-        ``node`` directly — that is the home :meth:`place_batch` assigns
-        it right after the loop — and a mapped page always has a home
-        (placement happens on the very first touch), so reading homes
-        mid-batch equals reading them after the batch commits.
-        """
-        top = max(pages, default=-1) + 1
-        mapped = self._mapped_span(max(top, memory._next_page))
-        n_mapped = len(mapped)
-        home_arr = memory._home
-        next_page = memory._next_page
-        mask = 1 << node
         faults = 0
-        to_place: list[int] = []
-        histogram: dict[int, int] = {}
-        hist_get = histogram.get
-        count_pages = thread is not None
-        for page in pages:
-            if 0 <= page < next_page:
-                # allocated page: ``mapped`` covers it (grown above), so
-                # the bitmask index needs no second bounds check
-                seen = mapped[page]
-                if not seen & mask:
-                    mapped[page] = seen | mask
-                    faults += 1
-                    if home_arr[page] == UNPLACED:
-                        to_place.append(page)
-                if count_pages:
-                    home = home_arr[page]
-                    if home == UNPLACED:
-                        # queued above (or by an earlier occurrence in
-                        # this batch): lands on ``node`` at the flush
-                        home = node
-                    histogram[home] = hist_get(home, 0) + 1
-            else:
-                # never-allocated id: still raises a fault and queues,
-                # so place_batch rejects it exactly as place() would
-                in_range = 0 <= page < n_mapped
-                seen = mapped[page] if in_range else 0
-                if not seen & mask:
-                    if in_range:
-                        mapped[page] = seen | mask
-                    faults += 1
-                    to_place.append(page)
-        if to_place:
-            # first-touch placements flush in one batch (only first
-            # occurrences queue, so the batch is duplicate-free)
-            memory.place_batch(to_place, node)
-        for home, count in histogram.items():
-            thread.note_pages(home, count)
+        for lo, hi, home in memory.home_runs(pages.start, pages.stop):
+            n = hi - lo
+            segment = bytes(mapped[lo:hi])
+            missing = n - segment.translate(seen_tbl).count(1)
+            if missing:
+                if home == UNPLACED:
+                    home_arr[lo:hi] = home_run(node, n)
+                    memory._pages_per_node[node] += n
+                    home = node
+                mapped[lo:hi] = segment.translate(set_tbl)
+                faults += missing
+            if thread is not None:
+                thread.note_pages(home, n)
         return faults
 
     def _autonuma(self, pages: Sequence[int], node: int) -> None:
@@ -254,22 +188,13 @@ class VirtualMemory:
 
     def forget(self, pages: Sequence[int]) -> None:
         """Drop mapping state and free the pages (intermediates released)."""
-        if type(pages) is PageSegments:
-            for run in pages._segments:
-                self.forget(run)
-            return
-        if type(pages) is range and pages.step == 1 and len(pages):
-            stop = min(pages.stop, len(self._mapped))
-            begin = max(pages.start, 0)
+        mapped = self._mapped
+        for run in page_runs(pages):
+            begin = max(run.start, 0)
+            stop = min(run.stop, len(mapped))
             if begin < stop:
-                self._mapped[begin:stop] = bytes(stop - begin)
-        else:
-            mapped = self._mapped
-            n = len(mapped)
-            for page in pages:
-                if 0 <= page < n:
-                    mapped[page] = 0
-        self.machine.memory.free(pages)
+                mapped[begin:stop] = bytes(stop - begin)
+            self.machine.memory.free(run)
 
     def nodes_mapping(self, page: int) -> list[int]:
         """Which nodes have mapped ``page`` so far."""

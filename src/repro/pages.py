@@ -3,21 +3,49 @@
 :class:`PageSegments` lives in its own dependency-free module because it
 is the *interface type* between layers: query compilation
 (:mod:`repro.db.cost`) produces it, work items carry it, and both the
-virtual-memory layer and the machine's cache model pattern-match on it
-to stream each contiguous run with their array fast paths.  Placing it
-under :mod:`repro.opsys` or :mod:`repro.db` would force the hardware
-layer to import upward.
+virtual-memory layer and the machine's cache model consume footprints
+as page runs through :func:`page_runs`.  Placing it under
+:mod:`repro.opsys` or :mod:`repro.db` would force the hardware layer to
+import upward.
 """
 
 from __future__ import annotations
 
 from .errors import SchedulerError
 
-#: batches below this size skip the vectorised VM/cache fast paths:
-#: their fixed per-batch costs (home-map ``tobytes`` probe, translation
-#: tables, dict rebuilds) exceed a handful of scalar loop iterations,
-#: and both paths are bit-identical so the cut-over is trace-neutral
-VECTOR_MIN_PAGES = 8
+
+def page_runs(pages) -> list[range]:
+    """``pages`` as maximal ascending contiguous runs, in footprint order.
+
+    The one shape every touch path consumes: a step-1 ``range`` is its
+    own run, a :class:`PageSegments` contributes its segments, and any
+    other sequence (page lists with gaps, duplicates or descending ids)
+    is grouped in one pass.  Streaming the runs in order touches exactly
+    the pages of ``pages`` in the same order.
+    """
+    kind = type(pages)
+    if kind is range and pages.step == 1:
+        return [pages] if pages.start < pages.stop else []
+    if kind is PageSegments:
+        runs: list[range] = []
+        for segment in pages._segments:
+            if type(segment) is range and segment.step == 1:
+                if segment.start < segment.stop:
+                    runs.append(segment)
+            else:
+                runs += page_runs(segment)
+        return runs
+    runs = []
+    it = iter(pages)
+    for start in it:  # runs once: the inner loop drains ``it``
+        prev = start
+        for page in it:
+            if page != prev + 1:
+                runs.append(range(start, prev + 1))
+                start = page
+            prev = page
+        runs.append(range(start, prev + 1))
+    return runs
 
 
 class PageSegments:
@@ -28,7 +56,7 @@ class PageSegments:
     intermediates, shared builds).  Materialising them into one flat
     list would destroy the contiguity the VM and cache layers exploit —
     this sequence keeps the runs, and a slice that falls inside a single
-    run comes back as a native :class:`range` (the array fast-path key).
+    run comes back as a native :class:`range` (a single run).
     Slices crossing run boundaries come back as another
     :class:`PageSegments` holding the sub-runs, preserving the exact
     element order of the flat concatenation, so chunked execution

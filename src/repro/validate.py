@@ -17,6 +17,8 @@ Checked invariants:
 * core-pinned threads sit on their pinned core whenever it is allowed;
 * run-queue bookkeeping matches thread states;
 * memory-bank occupancy equals the number of placed pages;
+* bytes served by the memory banks (``imc_bytes``) equal L3 misses
+  times the page size, and no L3 holds more pages than its capacity;
 * useful time never exceeds busy time on any core;
 * when a controller is attached, its PrT model's ``nalloc`` equals the
   cpuset size and stays within bounds.
@@ -132,6 +134,19 @@ class SystemValidator:
         if placed != sum(histogram):
             self._fail(f"home map holds {placed} pages but banks "
                        f"account {sum(histogram)}")
+        # every L3 miss pulls one page from a memory bank, and nothing
+        # else writes either family (both reset together)
+        counters = self.os.counters
+        imc = counters.total("imc_bytes")
+        missed = counters.total("l3_miss") * memory.page_bytes
+        if imc != missed:
+            self._fail(f"banks served {imc:.0f} bytes but L3 misses "
+                       f"account {missed:.0f}")
+        for cache in self.os.machine.caches:
+            held = len(cache.resident_pages())
+            if held > cache.capacity_pages:
+                self._fail(f"socket {cache.socket_id} L3 holds {held} "
+                           f"pages, capacity {cache.capacity_pages}")
 
     def _check_time_accounting(self) -> None:
         counters = self.os.counters

@@ -25,6 +25,44 @@ def test_touch_unplaced_page_rejected(machine):
         machine.touch(0.0, 0, pages)
 
 
+def _machine_state(machine):
+    return (
+        [cache.resident_pages() for cache in machine.caches],
+        [(c.hits, c.misses, c.evictions) for c in machine.caches],
+        [bank._free_at for bank in machine.banks],
+        [link._free_at for link in machine.interconnect._links.values()],
+        [(name, dict(family.slots), list(family.values))
+         for name, family in machine.counters._families.items()],
+    )
+
+
+@pytest.mark.parametrize("write", [False, True])
+def test_rejected_touch_leaves_state_unchanged(machine, write):
+    placed = _place(machine, 6, node=1)
+    machine.touch(0.0, 2, placed[:3])  # socket 1 caches three pages
+    fresh = list(machine.memory.allocate(2))
+    before = _machine_state(machine)
+    # placed pages (misses and hits) ahead of the unplaced one
+    pages = placed[3:] + placed[:3] + fresh
+    touch = machine.touch_write if write else machine.touch
+    with pytest.raises(HardwareError) as excinfo:
+        touch(1e-3, 1, pages)
+    message = str(excinfo.value)
+    assert f"page {fresh[0]}" in message
+    assert "core 1" in message and "socket 0" in message
+    assert _machine_state(machine) == before
+
+
+def test_touch_never_allocated_page_rejected(machine):
+    placed = _place(machine, 2, node=0)
+    before = _machine_state(machine)
+    with pytest.raises(HardwareError, match="page 2 touched"):
+        machine.touch(0.0, 0, range(0, 4))
+    with pytest.raises(HardwareError, match="page -1 touched"):
+        machine.touch(0.0, 0, [placed[0], -1])
+    assert _machine_state(machine) == before
+
+
 def test_local_touch_counts_local_bytes(machine):
     pages = _place(machine, 4, node=0)
     result = machine.touch(0.0, 0, pages)  # core 0 is on node 0

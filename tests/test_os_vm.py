@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.errors import HardwareError
 from repro.hardware.machine import Machine
 from repro.hardware.prebuilt import small_numa
 from repro.opsys.thread import SimThread
 from repro.opsys.vm import VirtualMemory
 from repro.opsys.workitem import ListWorkSource
+from repro.units import kib
 
 
 @pytest.fixture
@@ -24,6 +26,48 @@ def test_first_touch_places_and_faults(vm):
     assert faults == 3
     assert all(vm.machine.memory.home(p) == 1 for p in pages)
     assert vm.machine.counters.get("minor_faults", 1) == 3
+
+
+def _vm_state(vm):
+    memory = vm.machine.memory
+    return (bytes(vm._mapped), list(memory._home),
+            list(memory._pages_per_node),
+            dict(vm.machine.counters.by_index("minor_faults")))
+
+
+@pytest.mark.parametrize("bad", [[-1], [99], [5, 6, 99, 7]])
+def test_rejected_touch_pages_leaves_state_unchanged(vm, bad):
+    memory = vm.machine.memory
+    memory.allocate(10)
+    vm.touch_pages(range(0, 4), node=0)
+    thread = _thread()
+    before = _vm_state(vm)
+    # fresh and remote pages ahead of the never-allocated id
+    with pytest.raises(HardwareError, match="was never allocated"):
+        vm.touch_pages([8, 1, 2] + bad, node=1, thread=thread)
+    assert _vm_state(vm) == before
+    assert thread.pages_by_node == {}
+
+
+def test_touch_pages_rejects_bad_node_before_mapping(vm):
+    vm.machine.memory.allocate(4)
+    before = _vm_state(vm)
+    with pytest.raises(HardwareError, match="node 2 out of range"):
+        vm.touch_pages(range(0, 4), node=2)
+    assert _vm_state(vm) == before
+
+
+def test_touch_pages_rejects_full_bank_before_mapping():
+    vm = VirtualMemory(Machine(small_numa(dram_bytes=kib(64) * 4)))
+    vm.machine.memory.allocate(6)
+    vm.touch_pages(range(0, 3), node=0)
+    before = _vm_state(vm)
+    # pages 0-2 are placed already: only 3-5 would land, one too many
+    with pytest.raises(HardwareError, match="bank of node 0 is full"):
+        vm.touch_pages(range(0, 6), node=0)
+    assert _vm_state(vm) == before
+    # re-touching placed pages needs no bank space
+    assert vm.touch_pages([2, 1, 0, 3], node=0) == 1
 
 
 def test_repeat_touch_same_node_no_fault(vm):

@@ -90,3 +90,20 @@ def test_detects_bad_queue_state():
     sut.os.scheduler._queues[0].append(thread)
     with pytest.raises(InvariantViolation, match="state blocked"):
         SystemValidator(sut.os).check()
+
+
+def test_detects_bank_bytes_without_l3_misses():
+    sut = build_system(scale=SCALE, sim_scale=SIM)
+    sut.run_clients(2, repeat_stream("q6", 1))
+    SystemValidator(sut.os).check()  # the law holds after real work
+    sut.os.counters.add("imc_bytes", 0, sut.os.machine.config.page_bytes)
+    with pytest.raises(InvariantViolation, match="L3 misses account"):
+        SystemValidator(sut.os).check()
+
+
+def test_detects_overfull_l3():
+    sut = build_system(scale=SCALE, sim_scale=SIM)
+    cache = sut.os.machine.caches[1]
+    cache._runs.append(range(0, cache.capacity_pages + 1))
+    with pytest.raises(InvariantViolation, match="socket 1 L3 holds"):
+        SystemValidator(sut.os).check()

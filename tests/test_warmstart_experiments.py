@@ -5,7 +5,7 @@ prefix once and forks the cells from a capture.  The contract is strict:
 the warm path's cells are *byte-identical* (under pickle) to the cold
 path's, for every figure and at every parameterisation — warm-starting
 is a wall-clock optimisation, never a semantics change.  Parameters here
-are tiny; the bench-smoke CI job re-checks fig13 at bench scale.
+are tiny; the harness-smoke CI job re-checks fig13 at bench scale.
 """
 
 from __future__ import annotations
