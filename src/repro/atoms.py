@@ -1,23 +1,21 @@
 """Content digests for shared atoms, memoised per object.
 
-Three layers hash the same immutable bulk values — the TPC-H column
+Two layers hash the same immutable bulk values — the TPC-H column
 arrays and the dataset object that owns them:
 
 * :meth:`repro.sim.state.SimState.fingerprint` digests a capture's
-  shared atoms into its cache-key identity,
+  shared atoms into its cache-key identity, and
 * :func:`repro.runner.cache.canonical` digests array-valued task
-  kwargs into result-cache keys, and
-* :class:`repro.runner.shm.SharedAtomStore` content-addresses the
-  shared-memory segment each atom is published into.
+  kwargs into result-cache keys.
 
-The scheme must stay byte-identical across all three (cache keys and
+The scheme must stay byte-identical across both (cache keys and
 snapshot fingerprints persist on disk), so it lives here once: numpy
 arrays digest as ``sha256("<dtype>:<shape>" + raw buffer)``, everything
 else as the sha256 of its pickle.
 
 Digests are memoised by object identity — the atoms are megabytes and
 immutable by contract, so each is hashed once per process no matter how
-many sweeps, cache lookups and publications touch it.  A weakref
+many sweeps and cache lookups touch it.  A weakref
 callback evicts the entry when the atom is collected, so a recycled
 ``id()`` can never alias a stale digest; values that cannot be weakly
 referenced (``bytes``, plain containers) are simply hashed each call.
@@ -65,5 +63,5 @@ def atom_digest(atom: Any) -> bytes:
 
 
 def atom_hexdigest(atom: Any) -> str:
-    """Hex form of :func:`atom_digest` (segment/key addressing)."""
+    """Hex form of :func:`atom_digest`."""
     return atom_digest(atom).hex()

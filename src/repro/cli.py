@@ -366,7 +366,7 @@ def _pool_summary(stats) -> str:
     line = (f"\npool (last fan-out): {stats.workers} worker(s), "
             f"utilisation {stats.mean_utilisation():.0%}, "
             f"{stats.ipc_bytes_shipped:,} B shipped over IPC, "
-            f"{stats.shm_bytes:,} B shared once via shm")
+            f"{stats.shm_bytes:,} B of atoms mapped once per worker")
     if stats.respawns:
         line += f", {stats.respawns} respawn(s)"
     return line

@@ -277,7 +277,7 @@ def fork_system(base: SimState) -> SystemUnderTest:
 
     Restoring also seeds this process's dataset cache with the
     capture's dataset — in a pool worker that dataset is backed by the
-    run's shared-memory segments, so any later cold :func:`build_system`
+    run's mapped atom file, so any later cold :func:`build_system`
     in the same worker reuses it instead of regenerating megabytes of
     columns.  Datasets are immutable by contract (the forked arrays are
     read-only views), so seeding can never change results.

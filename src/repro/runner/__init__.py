@@ -6,11 +6,11 @@ thread ids per cell), runs one configuration and returns a plain result
 record.  Cells therefore parallelise embarrassingly: :mod:`.pool` fans
 them across persistent spawn-safe worker processes and merges results in
 submission order, so a parallel run is bit-identical to the serial one.
-:mod:`.shm` publishes each run's immutable bulk atoms (TPC-H columns,
-warm-start snapshot payloads) into shared-memory segments exactly once,
-so a forked cell ships kilobytes of digest references per task instead
-of re-pickling the dataset.  :mod:`.cache` replays cells whose inputs
-are unchanged.
+The pool ships each run's immutable bulk atoms (TPC-H columns,
+warm-start snapshot payloads) to every worker exactly once, as pickle-5
+out-of-band buffers in one mapped file, so a forked cell ships
+kilobytes of atom references per task instead of re-pickling the
+dataset.  :mod:`.cache` replays cells whose inputs are unchanged.
 
 Performance is measured outside the package, by the paper-scale harness
 under ``benchmarks/harness/``.
@@ -19,7 +19,6 @@ under ``benchmarks/harness/``.
 from .cache import ResultCache, configure, current, tree_fingerprint
 from .pool import (PoolStats, Task, TaskError, last_pool_stats, resolve,
                    run_tasks)
-from .shm import AtomClient, SharedAtomStore, ShippedAtoms
 
 __all__ = [
     "Task",
@@ -28,9 +27,6 @@ __all__ = [
     "run_tasks",
     "PoolStats",
     "last_pool_stats",
-    "SharedAtomStore",
-    "AtomClient",
-    "ShippedAtoms",
     "ResultCache",
     "configure",
     "current",

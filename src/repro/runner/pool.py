@@ -10,17 +10,24 @@ faster to start but inherits the parent's dataset cache, open telemetry
 recorders and heap layout — ``spawn`` guarantees every worker starts
 from the same cold, deterministic state a serial run starts from.
 
-Workers are **long-lived**: each attaches the run's
-:class:`~repro.runner.shm.SharedAtomStore` once, imports experiment
-modules once, and keeps its warmed dataset cache across tasks — a
-warm-start cell ships kilobytes of digest references instead of
-re-pickling the dataset per task.  Every result is tagged with its
+Workers are **long-lived**: each attaches the run's shared atoms once,
+imports experiment modules once, and keeps its warmed dataset cache
+across tasks.  The atoms are the run's bulk immutable data — every
+:class:`~repro.sim.state.SimState` capture's shared atoms and payload,
+and bare numpy arrays in the kwargs — collected by identity and pickled
+once with protocol 5: the raw array buffers go out of band into one
+temp file, the small in-band header goes to each worker as the first
+message on its task queue, and workers ``mmap`` the file read-only, so
+their arrays are zero-copy views.  Task and result pickles then carry
+each atom as its position in that tuple
+(:func:`~repro.sim.state.dumps_shared`), so a warm-start cell ships
+kilobytes instead of the dataset.  Every result is tagged with its
 submission index, so merging is positional and parallel output stays
 bit-identical to serial regardless of completion order.
 
 Tasks dispatch in submission order to whichever worker is idle.  Each
 parallel execution records a :class:`PoolStats` — per-worker
-utilisation, shipped IPC bytes, shared-memory bytes — retrievable via
+utilisation, shipped IPC bytes, out-of-band atom bytes — retrievable via
 :func:`last_pool_stats`.
 
 A failing task raises :class:`TaskError` carrying the task's ``fn``
@@ -33,8 +40,11 @@ from __future__ import annotations
 
 import importlib
 import json
+import mmap
+import os
 import pickle
 import queue as queue_lib
+import tempfile
 import time
 from collections import deque
 from collections.abc import Iterable, Mapping
@@ -42,11 +52,18 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any
 
+import numpy as np
+
 from ..errors import ReproError
-from .shm import (SharedAtomStore, collect_shareable_atoms,
-                  dumps_with_atoms, loads_with_atoms)
+from ..sim.state import SimState, dumps_shared, loads_shared
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+#: kwargs nesting depth scanned for shared atoms
+_SCAN_DEPTH = 3
+
+#: out-of-band buffers start on cache-line boundaries in the atom file
+_ALIGN = 64
 
 #: parent poll interval while waiting on results — short enough that a
 #: crashed worker is noticed promptly, long enough not to spin
@@ -135,7 +152,7 @@ class PoolStats:
     ipc_task_bytes: int = 0
     #: pickled result payloads received from workers
     ipc_result_bytes: int = 0
-    #: bytes published once into shared-memory segments
+    #: out-of-band atom bytes, shipped once per worker
     shm_bytes: int = 0
     respawns: int = 0
     #: worker id -> seconds spent executing tasks
@@ -181,7 +198,7 @@ def run_tasks(tasks: Iterable[Task], parallel: int = 1,
     serial loop in this process — no pool, no pickling, no import
     indirection beyond :func:`resolve`.  Larger values fan tasks across
     at most ``parallel`` persistent spawn workers: shared atoms publish
-    once over shared memory, tasks dispatch in submission order, and
+    once into a mapped file, tasks dispatch in submission order, and
     results merge back by submission index so parallel output is
     bit-identical to serial.
 
@@ -273,17 +290,82 @@ class _Outcome:
     failure: dict | None = None
 
 
-def _worker_main(worker_id: int, task_queue: Any, result_queue: Any,
-                 handle: Any) -> None:
-    """Long-lived worker loop: attach the atom store once, then serve.
+def _collect_atoms(value: Any, _depth: int = 0) -> list[Any]:
+    """Bulk immutable atoms reachable from one task's kwargs.
 
-    Replies ``("done", worker id, index, ok, payload, seconds)`` per
-    task; a ``None`` sentinel shuts the worker down.  Results pickle
-    with attached atoms externalised back to digests, so bulk data
-    never travels the result pipe either.
+    A :class:`~repro.sim.state.SimState` contributes its shared atoms
+    *and* its payload (identical across a sweep's cells, so it too
+    ships once); bare numpy arrays count as well.  Containers are
+    scanned a few levels deep — task kwargs are shallow by
+    construction.
     """
-    from .shm import AtomClient
-    client = AtomClient(handle)
+    if isinstance(value, SimState):
+        return [*value.shared, value.payload]
+    if isinstance(value, np.ndarray):
+        return [value]
+    if _depth >= _SCAN_DEPTH:
+        return []
+    items: Iterable[Any] = ()
+    if isinstance(value, Mapping):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    return [atom for item in items
+            for atom in _collect_atoms(item, _depth + 1)]
+
+
+def _publish(atoms: tuple[Any, ...], file: Any
+             ) -> tuple[bytes, list[tuple[int, int]]]:
+    """Pickle ``atoms`` once, writing their raw buffers into ``file``.
+
+    Returns the in-band header and the ``(offset, size)`` span of every
+    out-of-band buffer, in the order :func:`_attach` hands them back.
+    """
+    buffers: list[pickle.PickleBuffer] = []
+    header = pickle.dumps(atoms, protocol=5,
+                          buffer_callback=buffers.append)
+    spans: list[tuple[int, int]] = []
+    offset = 0
+    for buffer in buffers:
+        raw = buffer.raw()
+        pad = -offset % _ALIGN
+        file.write(bytes(pad))
+        offset += pad
+        file.write(raw)
+        spans.append((offset, raw.nbytes))
+        offset += raw.nbytes
+    return header, spans
+
+
+def _attach(header: bytes, path: str,
+            spans: list[tuple[int, int]]) -> tuple[Any, ...]:
+    """Rebuild the published atoms over a read-only map of ``path``.
+
+    Arrays become read-only zero-copy views of the mapping, which
+    their buffers keep alive for as long as the arrays live.
+    """
+    view = memoryview(b"")
+    if any(size for _, size in spans):
+        with open(path, "rb") as file:
+            view = memoryview(mmap.mmap(file.fileno(), 0,
+                                        access=mmap.ACCESS_READ))
+    return pickle.loads(header, buffers=[
+        view[offset:offset + size] for offset, size in spans])
+
+
+def _worker_main(worker_id: int, task_queue: Any,
+                 result_queue: Any) -> None:
+    """Long-lived worker loop: attach the atoms once, then serve.
+
+    The first message on the task queue is the ``(header, path,
+    spans)`` of the run's atoms.  Replies ``("done", worker id, index,
+    ok, payload, seconds)`` per task; a ``None`` sentinel shuts the
+    worker down.  Results pickle with attached atoms externalised back
+    to their positions, so bulk data never travels the result pipe
+    either.
+    """
+    atoms = _attach(*task_queue.get())
+    positions = {id(atom): i for i, atom in enumerate(atoms)}
     while True:
         item = task_queue.get()
         if item is None:
@@ -291,9 +373,9 @@ def _worker_main(worker_id: int, task_queue: Any, result_queue: Any,
         index, payload = item
         start = time.perf_counter()
         try:
-            task = loads_with_atoms(payload, client.get)
+            task = loads_shared(payload, atoms)
             value = _invoke(task)
-            body = dumps_with_atoms(value, client.index)
+            body = dumps_shared(value, positions)
             ok = True
         except Exception as exc:
             body = pickle.dumps(_failure_info(exc), protocol=_PROTOCOL)
@@ -322,21 +404,19 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
     order = deque(range(len(task_list)))
     outcomes: list[_Outcome | None] = [None] * len(task_list)
     start_wall = time.perf_counter()
-    atom_store = SharedAtomStore()
     result_queue = context.Queue()
     procs: dict[int, Any] = {}
     queues: dict[int, Any] = {}
+    path: str | None = None
     try:
-        atoms: list[Any] = []
-        for task in task_list:
-            atoms.extend(collect_shareable_atoms(task.kwargs))
-        atom_store.publish(atoms)
-        stats.shm_bytes = atom_store.segment_bytes
+        found = {id(atom): atom for task in task_list
+                 for atom in _collect_atoms(task.kwargs)}
+        atoms = tuple(found.values())
+        positions = {id(atom): i for i, atom in enumerate(atoms)}
         payloads: dict[int, bytes] = {}
         for index, task in enumerate(task_list):
             try:
-                payloads[index] = dumps_with_atoms(task,
-                                                   atom_store.index)
+                payloads[index] = dumps_shared(task, positions)
             except (pickle.PicklingError, AttributeError,
                     TypeError) as exc:
                 described = _describe_kwargs(task.kwargs)
@@ -344,7 +424,11 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
                     f"task {task.fn!r} cannot be shipped to a worker: "
                     f"{exc}\n  kwargs: {described}",
                     fn=task.fn, kwargs=described) from exc
-        handle = atom_store.handle()
+        fd, path = tempfile.mkstemp(
+            prefix=f"repro_atoms_{os.getpid()}_")
+        with os.fdopen(fd, "wb") as file:
+            header, spans = _publish(atoms, file)
+        stats.shm_bytes = sum(size for _, size in spans)
 
         pending = set(range(len(task_list)))
         assigned: dict[int, int] = {}  # worker id -> in-flight index
@@ -358,9 +442,13 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
             wid = next_worker_id
             next_worker_id += 1
             task_queue = context.Queue()
+            # the atoms travel as the first queued message, not as a
+            # spawn argument: a multi-megabyte argument would block
+            # start() until the child has booted and read it
+            task_queue.put((header, path, spans))
             proc = context.Process(
                 target=_worker_main,
-                args=(wid, task_queue, result_queue, handle),
+                args=(wid, task_queue, result_queue),
                 daemon=True)
             proc.start()
             procs[wid] = proc
@@ -449,7 +537,7 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
                     stats.worker_tasks.get(wid, 0) + 1)
                 if ok:
                     try:
-                        value = loads_with_atoms(body, atom_store.get)
+                        value = loads_shared(body, atoms)
                     except Exception as exc:
                         outcomes[index] = _Outcome(failure={
                             "message": (
@@ -488,5 +576,6 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
                     terminate()
                     proc.join(timeout=1.0)
         stats.wall_seconds = time.perf_counter() - start_wall
-        atom_store.close()
         _LAST_STATS = stats
+        if path is not None:
+            os.unlink(path)

@@ -17,6 +17,8 @@ Two mechanisms make the capture faithful *and* cheap:
   instead of being serialised into the payload.  Every fork references the
   same arrays, which is safe because the simulation never mutates them,
   and keeps a snapshot at tens of kilobytes instead of tens of megabytes.
+  The same persistent-id pair (:func:`dumps_shared` / :func:`loads_shared`)
+  keeps the atoms out of the worker pool's task and result pickles.
 * **Registered process globals** — state that lives outside any object
   graph (the :class:`~repro.opsys.thread.SimThread` id counter) is
   registered here with getter/setter pairs; :meth:`SimState.capture`
@@ -34,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import io
 import pickle
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -67,7 +69,7 @@ def registered_globals() -> tuple[str, ...]:
 class _SharedPickler(pickle.Pickler):
     """Pickler externalising shared atoms by object identity."""
 
-    def __init__(self, file: io.BytesIO, index: dict[int, int]):
+    def __init__(self, file: io.BytesIO, index: Mapping[int, int]):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._index = index
 
@@ -78,7 +80,7 @@ class _SharedPickler(pickle.Pickler):
 class _SharedUnpickler(pickle.Unpickler):
     """Unpickler resolving persistent ids back to the shared atoms."""
 
-    def __init__(self, file: io.BytesIO, shared: tuple[Any, ...]):
+    def __init__(self, file: io.BytesIO, shared: Sequence[Any]):
         super().__init__(file)
         self._shared = shared
 
@@ -87,8 +89,25 @@ class _SharedUnpickler(pickle.Unpickler):
             return self._shared[pid]
         except (TypeError, IndexError):
             raise SimulationError(
-                f"snapshot references unknown shared atom {pid!r}") \
+                f"pickle references unknown shared atom {pid!r}") \
                 from None
+
+
+def dumps_shared(value: Any, index: Mapping[int, int]) -> bytes:
+    """Pickle ``value`` with every indexed atom replaced by its position.
+
+    ``index`` maps ``id(atom)`` to the atom's position in the sequence
+    :func:`loads_shared` later resolves against; atoms match by
+    identity, never by value.
+    """
+    buffer = io.BytesIO()
+    _SharedPickler(buffer, index).dump(value)
+    return buffer.getvalue()
+
+
+def loads_shared(data: bytes, shared: Sequence[Any]) -> Any:
+    """Unpickle :func:`dumps_shared` output against the shared atoms."""
+    return _SharedUnpickler(io.BytesIO(data), shared).load()
 
 
 @dataclass(frozen=True)
@@ -112,16 +131,15 @@ class SimState:
         """
         shared_atoms = tuple(shared)
         index = {id(obj): i for i, obj in enumerate(shared_atoms)}
-        buffer = io.BytesIO()
         try:
-            _SharedPickler(buffer, index).dump(root)
+            payload = dumps_shared(root, index)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise SimulationError(
                 f"cannot capture simulation state: {exc} (lambdas and "
                 f"local closures do not pickle; use a module-level "
                 f"class with __call__ instead)") from exc
         values = {name: get() for name, (get, _) in _GLOBAL_STATE.items()}
-        return cls(payload=buffer.getvalue(), shared=shared_atoms,
+        return cls(payload=payload, shared=shared_atoms,
                    globals_=values)
 
     def restore(self) -> Any:
@@ -135,8 +153,7 @@ class SimState:
             entry = _GLOBAL_STATE.get(name)
             if entry is not None:
                 entry[1](value)
-        return _SharedUnpickler(io.BytesIO(self.payload),
-                                self.shared).load()
+        return loads_shared(self.payload, self.shared)
 
     # ------------------------------------------------------------------
 

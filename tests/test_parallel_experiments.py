@@ -40,7 +40,8 @@ def test_fig16_parallel_trace_is_bit_identical_to_golden(tmp_path):
     dump_records(records, path)
     assert path.read_bytes() == GOLDEN.read_bytes()
     # fig16's fan-out ships a warm capture: its bulk atoms must have
-    # crossed once via shared memory, not inside each task pickle
+    # crossed once per worker as out-of-band buffers in the mapped
+    # atom file, not inside each task pickle
     stats = last_pool_stats()
     assert stats is not None and stats.shm_bytes > 0
     assert stats.ipc_task_bytes < stats.shm_bytes

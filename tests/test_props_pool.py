@@ -8,25 +8,25 @@ process spawn per example):
 * results always land in submission order, whatever the durations;
 * a worker crash (a ``SystemExit`` escaping the worker loop, exactly
   like a hard process death) fails only the task it was running;
-* shared-memory segments are always unlinked on exit, including on
-  exception paths.
-
-``conftest.py`` verifies at session end that ``/dev/shm`` carries no
-``repro_`` segments, so every test here doubles as a leak check.
+* the run's ``repro_atoms_*`` temp file is always unlinked on exit,
+  including on the fail-fast abort, worker-crash and unpicklable-task
+  paths — every example checks that it left none behind.
 """
 
 from __future__ import annotations
 
 import os
 import queue
+import tempfile
 import threading
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runner.pool import PoolStats, Task, _run_pool
+from repro.runner.pool import PoolStats, Task, TaskError, _run_pool
 
 _SPEC = "tests.test_props_pool:_work"
 
@@ -84,12 +84,11 @@ class _ThreadContext:
         return queue.Queue()
 
 
-def _leaked_segments() -> list[str]:
-    try:
-        return [name for name in os.listdir("/dev/shm")
-                if name.startswith("repro_")]
-    except FileNotFoundError:
-        return []
+def _atom_files() -> set[str]:
+    """This process's atom files currently in the temp directory."""
+    prefix = f"repro_atoms_{os.getpid()}_"
+    return {name for name in os.listdir(tempfile.gettempdir())
+            if name.startswith(prefix)}
 
 
 _actions = st.sampled_from(["ok", "ok", "ok", "raise", "crash"])
@@ -107,6 +106,7 @@ def test_outcomes_land_in_submission_slots(plan, workers):
     outcomes = _run_pool(tasks, min(workers, len(tasks)),
                          _ThreadContext(), stats=stats,
                          fail_fast=False)
+    assert not _atom_files()
     assert len(outcomes) == len(tasks)
     for i, (action, _) in enumerate(plan):
         outcome = outcomes[i]
@@ -120,7 +120,6 @@ def test_outcomes_land_in_submission_slots(plan, workers):
     ok_count = sum(1 for o in outcomes
                    if o is not None and o.failure is None)
     assert ok_count == sum(1 for a, _ in plan if a == "ok")
-    assert _leaked_segments() == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -136,6 +135,7 @@ def test_one_crash_fails_only_its_task(plan, workers, crash_at):
     outcomes = _run_pool(tasks, min(workers, len(tasks)),
                          _ThreadContext(), stats=stats,
                          fail_fast=False)
+    assert not _atom_files()
     for i, outcome in enumerate(outcomes):
         assert outcome is not None
         if i == crash_at:
@@ -148,20 +148,35 @@ def test_one_crash_fails_only_its_task(plan, workers, crash_at):
         # the pool replaced the dead worker while work remained, or
         # finished on the survivors; either way it never wedged
         assert stats.tasks == len(plan) - 1
-    assert _leaked_segments() == []
 
 
 @settings(max_examples=15, deadline=None)
 @given(fail_fast=st.booleans(),
        workers=st.integers(min_value=1, max_value=3),
+       action=st.sampled_from(["raise", "crash"]),
        n_tasks=st.integers(min_value=1, max_value=6))
-def test_segments_unlink_even_when_tasks_fail(fail_fast, workers,
+def test_segments_unlink_even_when_tasks_fail(fail_fast, workers, action,
                                               n_tasks):
-    # a big array forces real segments; the failing task exercises the
-    # abort/teardown path with segments live
+    # a big array forces real out-of-band bytes into the atom file; the
+    # failing or crashing task exercises the abort/teardown path while
+    # workers hold the file mapped
     arr = np.arange(40_000, dtype=np.float64)
-    tasks = [Task(_SPEC, dict(index=i, action="raise", payload=arr))
+    tasks = [Task(_SPEC, dict(index=i, action=action, payload=arr))
              for i in range(n_tasks)]
+    stats = PoolStats()
     _run_pool(tasks, min(workers, n_tasks), _ThreadContext(),
-              fail_fast=fail_fast)
-    assert _leaked_segments() == []
+              stats=stats, fail_fast=fail_fast)
+    assert stats.shm_bytes == arr.nbytes
+    assert not _atom_files()
+
+
+def test_unpicklable_task_raises_task_error_and_leaves_no_file():
+    arr = np.arange(40_000, dtype=np.float64)
+    tasks = [Task(_SPEC, dict(index=0, payload=arr)),
+             Task(_SPEC, dict(index=1, payload=arr,
+                              hook=lambda: None))]
+    with pytest.raises(TaskError) as excinfo:
+        _run_pool(tasks, 2, _ThreadContext())
+    assert "cannot be shipped" in str(excinfo.value)
+    assert excinfo.value.fn == _SPEC
+    assert not _atom_files()

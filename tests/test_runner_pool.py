@@ -1,16 +1,24 @@
 """Unit tests for the parallel runner's pool.
 
-These stay in-process (``parallel=1`` short-circuits the pool), so they
-are cheap; the spawn path is covered by
+These stay in-process (``parallel=1`` short-circuits the pool, and the
+atom transport runs over the property suite's thread-backed context),
+so they are cheap; the spawn path is covered by
 ``tests/test_parallel_experiments.py``.
 """
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.runner.pool import PoolStats, Task, TaskError, resolve, run_tasks
+from repro.runner.pool import (PoolStats, Task, TaskError, _attach,
+                               _collect_atoms, _publish, _run_pool,
+                               resolve, run_tasks)
+from repro.sim.state import SimState
+from tests.test_props_pool import _ThreadContext
 
 
 def _double(x):
@@ -83,3 +91,81 @@ def test_resolve_rejects_malformed_specs():
         resolve("math:no_such_attr")
     with pytest.raises(ReproError):
         resolve("math:pi")  # not callable
+
+
+# ---------------------------------------------------------------------
+# atom transport: collect, publish once, attach read-only views
+
+
+def test_collect_atoms_finds_simstate_and_arrays():
+    arr = np.arange(10_000, dtype=np.float64)
+    nested = np.arange(3)
+    state = SimState(payload=b"p" * 100, shared=(arr,))
+    atoms = _collect_atoms(dict(base=state, extra=[nested], mode="dense"))
+    assert any(a is arr for a in atoms)
+    assert any(a is state.payload for a in atoms)
+    assert any(a is nested for a in atoms)
+    assert not any(isinstance(a, str) for a in atoms)
+
+
+def test_attach_rebuilds_atoms_as_read_only_views(tmp_path):
+    column = np.arange(100_000, dtype=np.float64)
+    small = np.arange(5, dtype=np.int32)
+    empty = np.arange(0, dtype=np.int64)
+    dataset = {"cols": [column, small], "label": "tpch"}
+    path = tmp_path / "atoms"
+    with open(path, "wb") as file:
+        header, spans = _publish((column, small, empty, dataset,
+                                  b"payload"), file)
+    # the arrays went out of band; the header holds the rest
+    assert [size for _, size in spans] == [column.nbytes, small.nbytes,
+                                           0]
+    assert len(header) < 1024
+    out_column, out_small, out_empty, out_dataset, payload = _attach(
+        header, str(path), spans)
+    for out, original in ((out_column, column), (out_small, small),
+                          (out_empty, empty)):
+        assert np.array_equal(out, original)
+        assert out.dtype == original.dtype
+        assert not out.flags.writeable
+    assert out_column.flags.aligned and not out_column.flags.owndata
+    # the dataset resolved its columns to the attached views
+    assert out_dataset["cols"][0] is out_column
+    assert out_dataset["cols"][1] is out_small
+    assert out_dataset["label"] == "tpch"
+    assert payload == b"payload"
+
+
+def _probe(base, column_sum):
+    """Worker target: report on the attached atoms, return one back."""
+    dataset, column = base.shared
+    restored = base.restore()
+    facts = dict(read_only=not column.flags.writeable,
+                 dataset_aliases=dataset["cols"][0] is column,
+                 restored_aliases=restored["column"] is column,
+                 equal=float(column.sum()) == column_sum,
+                 counters=restored["counters"] == list(range(64)))
+    return facts, column
+
+
+def test_pool_round_trip_ships_atoms_once_and_returns_parents_own():
+    column = np.arange(150_000, dtype=np.float64)  # ~1.2 MB column
+    dataset = {"cols": [column]}
+    graph = {"column": column, "counters": list(range(64))}
+    state = SimState.capture(graph, shared=(dataset, column))
+    tasks = [Task("tests.test_runner_pool:_probe",
+                  dict(base=state, column_sum=float(column.sum())))
+             for _ in range(3)]
+    stats = PoolStats()
+    outcomes = _run_pool(tasks, 2, _ThreadContext(), stats=stats)
+    for outcome in outcomes:
+        assert outcome is not None and outcome.failure is None
+        facts, returned = outcome.value
+        assert all(facts.values()), facts
+        # a shipped atom in a result resolves to the parent's object
+        assert returned is column
+    assert stats.shm_bytes == column.nbytes
+    # the per-task pickle carries references, not the capture
+    plain = len(pickle.dumps(tasks[0], protocol=pickle.HIGHEST_PROTOCOL))
+    per_task = stats.ipc_task_bytes / stats.tasks
+    assert per_task * 10 <= plain, (per_task, plain)
