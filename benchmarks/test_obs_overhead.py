@@ -16,14 +16,12 @@ against.  The 5 % bound is established analytically instead:
 """
 
 import time
-from types import SimpleNamespace
 
 from repro.analysis.report import render_table
 from repro.db.clients import repeat_stream
 from repro.experiments.common import build_system
 from repro.obs import NULL_RECORDER, Recorder
-from repro.obs.live import LiveBus, install_live, uninstall_live
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram
 
 WORKLOAD = dict(engine="morsel", mode="adaptive", scale=0.004,
                 sim_scale=0.125)
@@ -99,67 +97,6 @@ def test_null_recorder_overhead(once, record_result):
     # uninstrumented baseline
     assert share < 0.05, (
         f"null-path bound {share:.2%} of runtime exceeds 5%")
-
-
-def test_live_pipeline_overhead(once, record_result):
-    """The streaming bus stays under 5 % of a monitored run's time.
-
-    Same analytic approach as the null-recorder bound: count the work
-    the bus actually did during a monitored run (samples emitted,
-    windows flushed), measure the per-operation cost in isolation, and
-    bound the total against the unmonitored runtime.  The bound double
-    counts flush-driven emissions — conservative, never optimistic.
-    """
-    t_enabled = once(lambda: run_workload(Recorder()))
-
-    bus = LiveBus(window=0.05)
-    install_live(bus)
-    try:
-        t_live = run_workload(Recorder())
-    finally:
-        uninstall_live()
-    emits = sum(series.count for series in bus.series.values())
-    windows = bus.windows
-    assert emits > 0 and windows > 0, "monitored run streamed nothing"
-
-    probe = LiveBus(window=0.05)
-    emit_calls = 100_000
-    start = time.perf_counter()
-    for _ in range(emit_calls):
-        probe.emit("x", 0.0, 1.0)
-    per_emit = (time.perf_counter() - start) / emit_calls
-
-    registry = MetricsRegistry()
-    registry.counter("db.queries").inc(10)
-    registry.gauge("cpuset.allowed_cores").set(4)
-    registry.histogram("db.query_seconds").observe(0.1)
-    flush_bus = LiveBus(window=0.05)
-    flush_calls = 2_000
-    start = time.perf_counter()
-    for i in range(flush_calls):
-        flush_bus.flush(SimpleNamespace(
-            now=0.05 * i, obs=SimpleNamespace(metrics=registry)))
-    per_flush = (time.perf_counter() - start) / flush_calls
-
-    bound = emits * per_emit + windows * per_flush
-    share = bound / t_enabled
-
-    record_result("obs_live_overhead", render_table(
-        ["quantity", "value"],
-        [["unmonitored run (s)", t_enabled],
-         ["monitored run (s)", t_live],
-         ["samples emitted", emits],
-         ["windows flushed", windows],
-         ["emit cost (ns)", per_emit * 1e9],
-         ["flush cost (us)", per_flush * 1e6],
-         ["live-pipeline bound (s)", bound],
-         ["share of unmonitored run", share]],
-        title="live-pipeline overhead bound"))
-
-    # the acceptance bound: streaming telemetry within 5 % of an
-    # unmonitored (but recorded) run
-    assert share < 0.05, (
-        f"live-pipeline bound {share:.2%} of runtime exceeds 5%")
 
 
 def test_null_instruments_are_shared_singletons():

@@ -6,7 +6,6 @@ Usage::
     python -m repro run fig13 --users 4,16 --repetitions 2
     python -m repro run fig19 --engine sqlserver --n-clients 16
     python -m repro run fig7 --telemetry out/fig7
-    python -m repro monitor fig13 --port 8765 --jsonl stream.jsonl
     python -m repro stats out/fig7
     python -m repro explain out/fig7 --action-only
     python -m repro compare --workload q6 --clients 16
@@ -16,14 +15,13 @@ Usage::
 ``run`` executes one figure/extension harness and prints its table; with
 ``--telemetry DIR`` it records metrics, spans and decision provenance
 and exports them to ``DIR``.  ``stats`` summarises a recorded metrics
-snapshot; ``explain`` replays the decision-provenance log — the full
-causal chain (sample -> guard -> action) behind every mask change.
-``compare`` is a quick four-way mode comparison on one query; ``verify``
-runs the static model checks and the determinism lint (exit 0 clean,
-1 on findings) — the CI gate.  ``monitor`` runs one experiment under the
-live telemetry pipeline: a Prometheus ``/metrics`` + JSON ``/health``
-HTTP endpoint, a terminal dashboard, controller-health analyzers and
-alert rules, and an optional JSONL stream.
+snapshot and, when the directory holds a decision log, each tenant's
+controller health (convergence to LONC, oscillation, allocation lag);
+``explain`` replays the decision-provenance log — the full causal chain
+(sample -> guard -> action) behind every mask change.  ``compare`` is a
+quick four-way mode comparison on one query; ``verify`` runs the static
+model checks and the determinism lint (exit 0 clean, 1 on findings) —
+the CI gate.
 """
 
 from __future__ import annotations
@@ -97,6 +95,14 @@ _OPTION_SPECS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type``: an integer >= 1 (anything else exits 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -129,53 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
         run.add_argument(f"--{option.replace('_', '-')}", dest=option,
                          default=None)
 
-    monitor = sub.add_parser(
-        "monitor",
-        help="run one experiment under live monitoring: /metrics + "
-             "/health HTTP endpoints, terminal dashboard, JSONL stream")
-    monitor.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    monitor.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    monitor.add_argument("--port", type=int, default=8765,
-                         help="HTTP port; 0 picks a free one "
-                              "(default 8765)")
-    monitor.add_argument("--window", type=float, default=0.25,
-                         help="flush-window length in simulated "
-                              "seconds (default 0.25)")
-    monitor.add_argument("--jsonl", metavar="FILE", default=None,
-                         help="stream every sample/decision/window/"
-                              "alert to FILE as JSON lines")
-    monitor.add_argument("--rules", metavar="FILE", default=None,
-                         help="alert rules JSON file (default: the "
-                              "built-in rule set)")
-    monitor.add_argument("--slo-latency-p95", type=float, default=None,
-                         metavar="SECONDS",
-                         help="SLO: windowed p95 query latency must "
-                              "stay <= SECONDS")
-    monitor.add_argument("--slo-throughput-min", type=float,
-                         default=None, metavar="QPS",
-                         help="SLO: windowed throughput must stay "
-                              ">= QPS")
-    monitor.add_argument("--refresh", type=float, default=1.0,
-                         help="dashboard redraw interval in host "
-                              "seconds (default 1.0)")
-    monitor.add_argument("--no-dashboard", action="store_true",
-                         help="suppress the terminal dashboard "
-                              "(endpoints still serve)")
-    monitor.add_argument("--serve-grace", type=float, default=0.0,
-                         metavar="SECONDS",
-                         help="keep serving SECONDS after the "
-                              "experiment ends (for late scrapers)")
-    monitor.add_argument("--fail-on-alert", action="store_true",
-                         help="exit 1 if any alert is still firing "
-                              "when the run ends")
-    monitor.add_argument("--telemetry", metavar="DIR", default=None,
-                         help="also export the batch telemetry "
-                              "(metrics/trace/decisions) to DIR")
-    for option in _OPTION_SPECS:
-        monitor.add_argument(f"--{option.replace('_', '-')}",
-                             dest=option, default=None)
-
     cache = sub.add_parser(
         "cache",
         help="inspect or clear the content-addressed result cache")
@@ -191,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "file) written by run --telemetry")
     stats.add_argument("--tenant", default=None,
                        help="only this tenant's per-tenant instruments "
-                            "(controller.*, cpuset.*, petrinet.*)")
+                            "(controller.*, cpuset.*, petrinet.*) and "
+                            "controller-health row")
 
     explain = sub.add_parser(
         "explain",
@@ -210,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="only decisions in this performance state")
     explain.add_argument("--action-only", action="store_true",
                          help="only decisions that changed the mask")
-    explain.add_argument("--limit", type=int, default=None,
+    explain.add_argument("--limit", type=_positive_int, default=None,
                          help="show at most N decisions (from the end)")
     explain.add_argument("--json", action="store_true",
                          help="machine-readable records on stdout")
@@ -393,35 +353,6 @@ def _profile_run(name: str, runner: Callable, kwargs: dict) -> str:
             f"{stream.getvalue().rstrip()}")
 
 
-def _run_monitor(args: argparse.Namespace) -> int:
-    """``repro monitor``: one experiment under the live pipeline."""
-    from .obs.alerts import load_rules
-    from .obs.health import SloObjective
-    from .obs.serve import run_monitor
-
-    runner, _ = EXPERIMENTS[args.experiment]
-    kwargs = _runner_kwargs(args, runner)
-    # the live bus and recorder are process-wide, and the golden
-    # live == post-hoc parity needs every decision in-process: force a
-    # serial, cold (no warm-start forking), uncached run
-    if "warm_start" in runner.__code__.co_varnames:
-        kwargs["warm_start"] = False
-    slos = []
-    if args.slo_latency_p95 is not None:
-        slos.append(SloObjective("latency_p95", "live.latency.p95",
-                                 "<=", args.slo_latency_p95))
-    if args.slo_throughput_min is not None:
-        slos.append(SloObjective("throughput", "live.throughput",
-                                 ">=", args.slo_throughput_min))
-    rules = load_rules(args.rules) if args.rules is not None else None
-    return run_monitor(
-        runner, kwargs, title=args.experiment, host=args.host,
-        port=args.port, window=args.window, rules=rules,
-        slos=tuple(slos), jsonl=args.jsonl, refresh=args.refresh,
-        dashboard=not args.no_dashboard, serve_grace=args.serve_grace,
-        telemetry=args.telemetry, fail_on_alert=args.fail_on_alert)
-
-
 def _run_cache(args: argparse.Namespace) -> str:
     from .runner.cache import ResultCache
 
@@ -437,15 +368,35 @@ def _run_cache(args: argparse.Namespace) -> str:
 
 
 def _run_stats(args: argparse.Namespace) -> str:
-    from .obs import METRICS_JSONL, load_metrics_jsonl, stats_table
+    from .obs import (DECISIONS_JSONL, METRICS_JSONL, analyze_decisions,
+                      load_decisions, load_metrics_jsonl, stats_table)
 
     path = Path(args.path)
     if path.is_dir():
         path = path / METRICS_JSONL
     if not path.exists():
         raise ReproError(f"no metrics snapshot at {path}")
-    return stats_table(load_metrics_jsonl(path), title=str(path),
-                       tenant=args.tenant)
+    output = stats_table(load_metrics_jsonl(path), title=str(path),
+                         tenant=args.tenant)
+    decisions_path = path.parent / DECISIONS_JSONL
+    if not decisions_path.exists():
+        return output
+    health = analyze_decisions(load_decisions(decisions_path)).snapshot()
+    rows = [[tenant, h["decisions"], "yes" if h["converged"] else "no",
+             _or_dash(h["convergence_time"]), h["divergences"],
+             h["oscillation"], h["flapping"], _or_dash(h["mean_lag"])]
+            for tenant, h in health.items()
+            if args.tenant in (None, tenant)]
+    if not rows:
+        return output
+    return output + "\n\n" + render_table(
+        ["tenant", "decisions", "converged", "converge s", "divergences",
+         "oscillation", "flapping", "mean lag"],
+        rows, title=f"controller health ({decisions_path})")
+
+
+def _or_dash(value):
+    return "-" if value is None else value
 
 
 def _run_explain(args: argparse.Namespace) -> str:
@@ -655,8 +606,6 @@ def main(argv: list[str] | None = None) -> int:
             print(render_table(["experiment", "description"], rows))
         elif args.command == "run":
             print(_run_experiment(args))
-        elif args.command == "monitor":
-            return _run_monitor(args)
         elif args.command == "cache":
             print(_run_cache(args))
         elif args.command == "stats":

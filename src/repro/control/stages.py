@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 from ..errors import AllocationError, LeaseError
-from ..obs.live import live_bus
 from ..opsys.inventory import DEFAULT_TENANT
 from ..sim.tracing import CoreAllocation
 
@@ -259,7 +258,6 @@ class LeaseActuator:
         self.inventory.seed(self.tenant, cores)
         for core in cores:
             self._trace(core, allocated=True)
-        self._emit_live()
 
     # The actuator's whole job is to transfer leases to the tenant, so
     # they legitimately outlive the call and cannot balance statically:
@@ -282,8 +280,6 @@ class LeaseActuator:
             # re-syncs the model from the cpuset, so nothing dangles
             self.inventory.release(self.tenant, core)  # verify: allow=flow:lease-rollback
             self._trace(core, allocated=False)
-        if delta:
-            self._emit_live()
         return delta
 
     def own(self) -> frozenset[int]:
@@ -301,13 +297,6 @@ class LeaseActuator:
             time=self.os.now, core_id=core,
             node_id=self.os.topology.node_of_core(core),
             allocated=allocated, n_allocated=len(self.cpuset)))
-
-    def _emit_live(self) -> None:
-        """Stream the tenant's new core count to a live bus, if any."""
-        bus = live_bus()
-        if bus is not None:
-            bus.on_core_change(self.os.now, self.tenant,
-                               len(self.cpuset))
 
 
 def single_step(delta: CoreDelta) -> CoreDelta:

@@ -34,7 +34,6 @@ from ..control.stages import (Actuator, DecisionPolicy, LeaseActuator,
                               ModelPolicy, ModePlanner, MonitorSensor,
                               Planner, Sensor, single_step)
 from ..errors import AllocationError, ModelConfigurationError
-from ..obs.live import live_bus
 from ..obs.metrics import VALUE_BUCKETS
 from ..obs.provenance import Decision
 from ..opsys.inventory import DEFAULT_TENANT
@@ -249,7 +248,7 @@ class ElasticController:
         self._g_cores.set(self.n_allocated)
         self._c_fired[chain.entry].inc()
         self._c_fired[chain.exit].inc()
-        if self.obs.enabled or live_bus() is not None:
+        if self.obs.enabled:
             self._record_decision(sample, chain, applied.first_core,
                                   cores_before)
         self.ticks += 1
@@ -262,10 +261,8 @@ class ElasticController:
                          core: int | None, cores_before: int) -> None:
         """Capture the full causal chain of one pass.
 
-        Runs when the recorder is enabled *or* a live bus is installed:
-        the same :class:`Decision` feeds the provenance log and the
-        streaming health analyzers, which is what makes live values
-        replayable post-hoc from ``decisions.jsonl``.
+        Runs only when the recorder is enabled; the :class:`Decision`
+        lands in the provenance log behind ``decisions.jsonl``.
         """
         priorities = None
         if isinstance(self.mode, AdaptivePriorityMode):
@@ -295,11 +292,7 @@ class ElasticController:
             },
             priorities=priorities,
             tenant=self.tenant)
-        if self.obs.enabled:
-            self.obs.decisions.record(decision)
-        bus = live_bus()
-        if bus is not None:
-            bus.on_decision(decision)
+        self.obs.decisions.record(decision)
 
     # ------------------------------------------------------------------
     # model/placement upkeep

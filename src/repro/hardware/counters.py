@@ -193,8 +193,8 @@ class CounterBank:
     def slot(self, name: str, index) -> int:
         """Stable slot of ``(name, index)`` in the family array.
 
-        Creates the counter (at 0.0) on first use, so hot readers — the
-        load sampler, live taps — can resolve indices once and then read
+        Creates the counter (at 0.0) on first use, so hot readers such as
+        the load sampler can resolve indices once and then read
         :meth:`family_values` positionally every tick.
         """
         family = self._families.get(name)

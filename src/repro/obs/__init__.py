@@ -19,32 +19,21 @@ reproduction the matching introspection:
   :class:`NullRecorder` twin whose no-op fast path keeps disabled
   telemetry within noise of an uninstrumented run (see
   ``benchmarks/test_obs_overhead.py``);
-* :mod:`repro.obs.live` — the streaming twin of the batch exporters:
-  rolling aggregators (EWMA, windowed rates, P² quantile sketch) on a
-  process-wide :class:`LiveBus` flushed on simulated-time windows;
 * :mod:`repro.obs.health` — controller-health analyzers (convergence to
-  LONC, oscillation/flapping, allocation lag, SLO burn) computable live
-  and replayable post-hoc from the decision log;
-* :mod:`repro.obs.alerts` — declarative threshold/trend/absence rules
-  with firing/resolved hysteresis and decision provenance links;
-* :mod:`repro.obs.serve` — the ``repro monitor`` endpoint: live
-  ``/metrics`` + ``/health`` HTTP, terminal dashboard, JSONL stream.
+  LONC, divergences, oscillation/flapping, allocation lag) replayed
+  from the decision log; ``repro stats`` prints them per tenant.
 
 See ``docs/observability.md`` for the metric catalogue, span taxonomy
-and the live-pipeline architecture.
+and the health table.
 """
 
-from .alerts import DEFAULT_RULES, AlertEngine, AlertRule, load_rules
 from .export import (DECISIONS_JSONL, METRICS_JSONL, METRICS_PROM,
                      TRACE_JSON, dump_chrome_trace, dump_metrics_jsonl,
                      escape_label_value, export_run, load_metrics_jsonl,
                      metric_tenant, render_family, render_prometheus,
                      stats_table)
-from .health import (HealthConfig, HealthSuite, SloObjective, SloTracker,
-                     TenantHealth, analyze_decisions,
-                     slo_burn_from_stream)
-from .live import (Ewma, LiveBus, P2Quantile, Series, WindowRate,
-                   install_live, live_bus, streaming, uninstall_live)
+from .health import (HealthConfig, HealthSuite, TenantHealth,
+                     analyze_decisions)
 from .metrics import (HOST_TIME_BUCKETS, TIME_BUCKETS, VALUE_BUCKETS,
                       Counter, Gauge, Histogram, MetricsRegistry,
                       NullMetricsRegistry)
@@ -73,12 +62,6 @@ __all__ = [
     "dump_metrics_jsonl", "load_metrics_jsonl",
     "dump_chrome_trace", "export_run", "stats_table", "metric_tenant",
     "METRICS_PROM", "METRICS_JSONL", "TRACE_JSON", "DECISIONS_JSONL",
-    # live pipeline
-    "LiveBus", "Ewma", "WindowRate", "P2Quantile", "Series",
-    "install_live", "uninstall_live", "live_bus", "streaming",
     # health analyzers
     "HealthConfig", "HealthSuite", "TenantHealth", "analyze_decisions",
-    "SloObjective", "SloTracker", "slo_burn_from_stream",
-    # alerts
-    "AlertRule", "AlertEngine", "DEFAULT_RULES", "load_rules",
 ]

@@ -64,8 +64,6 @@ def render_family(name: str, kind: str, help_text: str,
 
     ``samples`` are ``(suffix, labels, value)`` triples — the labeled
     children of the family (histogram buckets, per-tenant gauges, ...).
-    Shared by the batch exporter and the live ``/metrics`` endpoint so
-    both speak identical exposition format.
     """
     lines = [f"# HELP {name} {escape_help(help_text)}",
              f"# TYPE {name} {kind}"]

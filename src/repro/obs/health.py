@@ -17,20 +17,17 @@ judgements, one :class:`TenantHealth` per controller:
   passes, the mode-change rate;
 * **allocation lag** — ticks from a threshold crossing (the pass that
   left Stable) until a core change is actually applied (``core`` is not
-  ``None``); cooldowns and starvation stretch this;
-* **SLO burn** — fraction of closed live windows in breach of a
-  latency/throughput objective (:class:`SloTracker`); empty windows are
-  skipped, not counted as good.
+  ``None``); cooldowns and starvation stretch this.
 
-Everything here is *pure replay*: :func:`analyze_decisions` recomputes
-the same numbers post-hoc from a decisions JSONL file, and the golden
-monitor test pins live == post-hoc on the same run.
+Everything here is *pure replay*: :func:`analyze_decisions` computes
+the numbers post-hoc from a decisions JSONL file, and ``repro stats``
+prints them per tenant for a ``run --telemetry`` directory.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..errors import ReproError
@@ -79,7 +76,7 @@ class TenantHealth:
         self.last_lag: int | None = None
         self.lags: list[int] = []
         self.cores: int | None = None
-        #: the most recent acting decision (provenance for alerts)
+        #: the most recent acting decision (its provenance link)
         self.last_action: dict | None = None
 
     def observe(self, decision) -> None:
@@ -190,118 +187,13 @@ class HealthSuite:
 
 def analyze_decisions(decisions: Iterable,
                       config: HealthConfig | None = None) -> HealthSuite:
-    """Post-hoc replay: the numbers the live suite would have computed.
+    """Post-hoc replay of a decision stream into per-tenant health.
 
-    Feed it ``load_decisions(path)``; the golden monitor test asserts
-    this matches the live bus on the same run.
+    Feed it ``load_decisions(path)``; ``repro stats`` does exactly
+    that for a telemetry directory.
     """
     suite = HealthSuite(config)
     for decision in decisions:
         suite.observe(decision)
     return suite
 
-
-# ----------------------------------------------------------------------
-# SLO objectives
-# ----------------------------------------------------------------------
-
-_OPS = {
-    "<=": lambda value, target: value <= target,
-    ">=": lambda value, target: value >= target,
-    "<": lambda value, target: value < target,
-    ">": lambda value, target: value > target,
-}
-
-
-@dataclass(frozen=True, slots=True)
-class SloObjective:
-    """One service-level objective over a live series.
-
-    The window is *good* when ``value <op> target`` holds, e.g.
-    ``SloObjective("latency", "live.latency.p95", "<=", 0.5)``.
-    """
-
-    name: str
-    series: str
-    op: str
-    target: float
-
-    def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise ReproError(
-                f"SLO op {self.op!r}: want one of {sorted(_OPS)}")
-
-    def good(self, value: float) -> bool:
-        """Does ``value`` meet the objective?"""
-        return _OPS[self.op](value, self.target)
-
-
-class SloTracker:
-    """Burn-rate accounting for one objective.
-
-    Burn = breached windows / counted windows.  A window with no sample
-    on the series is *skipped* (not counted either way): an idle window
-    says nothing about whether the objective held.
-    """
-
-    def __init__(self, objective: SloObjective):
-        self.objective = objective
-        self.counted = 0
-        self.breached = 0
-        self.skipped = 0
-
-    def observe_window(self, value: float | None) -> float | None:
-        """Score one closed window; returns the burn so far.
-
-        ``value`` is the window's sample on the objective's series, or
-        ``None`` when the window was empty.  Returns ``None`` until a
-        first window has been counted.
-        """
-        if value is None:
-            self.skipped += 1
-        else:
-            self.counted += 1
-            if not self.objective.good(value):
-                self.breached += 1
-        return self.burn
-
-    @property
-    def burn(self) -> float | None:
-        """Fraction of counted windows in breach (``None`` before any)."""
-        if self.counted == 0:
-            return None
-        return self.breached / self.counted
-
-    def snapshot(self) -> dict:
-        """JSON-ready summary."""
-        return {
-            "objective": self.objective.name,
-            "series": self.objective.series,
-            "op": self.objective.op,
-            "target": self.objective.target,
-            "counted": self.counted,
-            "breached": self.breached,
-            "skipped": self.skipped,
-            "burn": self.burn,
-        }
-
-
-def slo_burn_from_stream(entries: Sequence[dict],
-                         objective: SloObjective) -> float | None:
-    """Recompute an SLO burn from a JSONL stream's sample entries.
-
-    ``entries`` are parsed stream records (``kind == "sample"`` rows
-    carry ``series``/``value``/``t``); the replay buckets them into the
-    same windows the live tracker saw and scores each window's last
-    sample, mirroring :meth:`LiveBus.flush`.
-    """
-    tracker = SloTracker(objective)
-    pending: float | None = None
-    for entry in entries:
-        kind = entry.get("kind")
-        if kind == "sample" and entry.get("series") == objective.series:
-            pending = float(entry["value"])
-        elif kind == "window":
-            tracker.observe_window(pending)
-            pending = None
-    return tracker.burn

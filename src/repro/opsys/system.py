@@ -12,7 +12,6 @@ from collections.abc import Iterable
 
 from ..config import MachineConfig, SchedulerConfig
 from ..hardware.machine import Machine
-from ..obs.live import LiveFlushTimer, live_bus
 from ..obs.recorder import current_recorder
 from ..sim.engine import Simulator
 from ..sim.tracing import TraceRecorder
@@ -80,8 +79,6 @@ class OperatingSystem:
         self._g_allowed = metrics.gauge("cpuset.allowed_cores")
         self._g_allowed.set(len(self.cpuset))
         self.cpuset.subscribe(self._obs_mask_change)
-        #: lazily-armed live-telemetry flush timer (monitored runs only)
-        self._live_timer: LiveFlushTimer | None = None
 
     def _obs_mask_change(self, added: set[int], removed: set[int]) -> None:
         self._c_cores_added.inc(len(added))
@@ -141,29 +138,14 @@ class OperatingSystem:
         """Unblock a thread (work sources call this when items appear)."""
         self.scheduler.wake(thread)
 
-    def _arm_live_flush(self) -> None:
-        """Arm the live-telemetry window timer when a bus is installed.
-
-        The timer re-arms itself only while other events are pending, so
-        it never keeps an otherwise-idle simulation alive; each ``run*``
-        call re-arms it for the next burst of work.
-        """
-        if live_bus() is None:
-            return
-        if self._live_timer is None:
-            self._live_timer = LiveFlushTimer(self)
-        self._live_timer.arm()
-
     def run(self, until: float | None = None) -> int:
         """Drive the simulation; see :meth:`repro.sim.Simulator.run`."""
-        self._arm_live_flush()
         delivered = self.sim.run(until=until)
         self._c_sim_events.inc(delivered)
         return delivered
 
     def run_until_idle(self) -> int:
         """Drive the simulation until no events remain."""
-        self._arm_live_flush()
         delivered = self.sim.run_until_idle()
         self._c_sim_events.inc(delivered)
         return delivered

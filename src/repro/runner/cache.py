@@ -239,9 +239,8 @@ def configure(cache: "ResultCache | bool | None") -> None:
 
     ``None`` removes a configured cache (the ``REPRO_CACHE=1``
     environment fallback applies again); ``False`` forces caching off
-    even against the environment — ``repro monitor`` uses this so a
-    monitored run always simulates instead of replaying, which would
-    leave the live bus with nothing to stream.
+    even against the environment, so a measuring run (the benchmark
+    harness) always simulates instead of replaying.
     """
     global _CURRENT
     _CURRENT = cache

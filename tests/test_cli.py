@@ -111,9 +111,22 @@ def test_stats_tenant_filter(telemetry_dir, capsys):
     assert "controller.ticks" in out
     # machine-wide metrics are filtered out with the tenant lens on
     assert "scheduler.dispatches" not in out
+    assert "controller health" in out
     assert main(["stats", str(telemetry_dir),
                  "--tenant", "nobody"]) == 0
-    assert "no metrics recorded" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "no metrics recorded" in out
+    assert "controller health" not in out
+
+
+def test_stats_without_decision_log_skips_health(telemetry_dir, tmp_path,
+                                                 capsys):
+    metrics = tmp_path / "metrics.jsonl"
+    metrics.write_text((telemetry_dir / "metrics.jsonl").read_text())
+    assert main(["stats", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "controller.ticks" in out
+    assert "controller health" not in out
 
 
 def test_stats_missing_path_is_an_error(tmp_path, capsys):
@@ -153,6 +166,17 @@ def test_explain_limit_elides(telemetry_dir, capsys):
     assert "elided" in out
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_explain_limit_below_one_is_a_usage_error(telemetry_dir, limit,
+                                                  capsys):
+    # a slice with 0 or a negative bound would print every decision or
+    # silently drop the first ones
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", str(telemetry_dir), "--limit", limit])
+    assert exc.value.code == 2
+    assert "--limit: must be >= 1" in capsys.readouterr().err
+
+
 def test_explain_json_output(telemetry_dir, capsys):
     assert main(["explain", str(telemetry_dir), "--json",
                  "--limit", "2"]) == 0
@@ -165,54 +189,6 @@ def test_explain_json_output(telemetry_dir, capsys):
 def test_explain_missing_path_is_an_error(tmp_path, capsys):
     assert main(["explain", str(tmp_path)]) == 2
     assert "no decision log" in capsys.readouterr().err
-
-
-# ------------------------------------------------------------------
-# the monitor subcommand
-# ------------------------------------------------------------------
-
-def test_monitor_runs_fig13_and_streams(tmp_path, capsys):
-    stream = tmp_path / "stream.jsonl"
-    code = main(["monitor", "fig13", "--users", "1,2",
-                 "--repetitions", "1", "--scale", "0.004",
-                 "--sim-scale", "0.125", "--port", "0",
-                 "--no-dashboard", "--jsonl", str(stream),
-                 "--slo-latency-p95", "60"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "serving http://127.0.0.1:" in out
-    assert "thetasubselect vs concurrency" in out
-    assert "stream:" in out
-    from repro.obs.serve import load_stream
-    kinds = {entry["kind"] for entry in load_stream(stream)}
-    assert {"sample", "decision", "window"} <= kinds
-
-
-def test_monitor_uninstalls_the_live_pipeline(capsys):
-    from repro.obs import NULL_RECORDER, current_recorder
-    from repro.obs.live import live_bus
-    code = main(["monitor", "fig7", "--repetitions", "1",
-                 "--scale", "0.002", "--sim-scale", "0.05",
-                 "--port", "0", "--no-dashboard"])
-    assert code == 0
-    assert live_bus() is None
-    assert current_recorder() is NULL_RECORDER
-
-
-def test_monitor_rejects_inapplicable_option(capsys):
-    code = main(["monitor", "fig6", "--users", "1,2", "--port", "0",
-                 "--no-dashboard"])
-    assert code == 2
-    assert "does not accept" in capsys.readouterr().err
-
-
-def test_monitor_rejects_bad_rules_file(tmp_path, capsys):
-    path = tmp_path / "rules.json"
-    path.write_text('[{"name": "x", "series": "s", "oops": 1}]')
-    code = main(["monitor", "fig7", "--rules", str(path),
-                 "--port", "0", "--no-dashboard"])
-    assert code == 2
-    assert "unknown keys" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Controller-health analyzers: convergence, oscillation, lag, SLOs."""
+"""Controller-health analyzers: convergence, oscillation, lag."""
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ReproError
-from repro.obs.health import (HealthConfig, HealthSuite, SloObjective,
-                              SloTracker, TenantHealth,
-                              analyze_decisions, slo_burn_from_stream)
-from repro.obs.provenance import Decision
+from repro.obs.export import load_metrics_jsonl
+from repro.obs.health import (HealthConfig, HealthSuite, TenantHealth,
+                              analyze_decisions)
+from repro.obs.provenance import Decision, load_decisions
 
 
 def decision(time, tick, state, action=None, core=None, cores_after=1,
@@ -163,44 +164,35 @@ class TestSuiteAndReplay:
             HealthConfig(osc_window=1)
 
 
-class TestSlo:
-    def test_objective_ops(self):
-        latency = SloObjective("lat", "live.latency.p95", "<=", 0.5)
-        assert latency.good(0.5) and not latency.good(0.6)
-        throughput = SloObjective("tput", "live.throughput", ">=", 10.0)
-        assert throughput.good(10.0) and not throughput.good(9.0)
-        with pytest.raises(ReproError):
-            SloObjective("bad", "s", "!=", 1.0)
+def test_health_table_agrees_with_the_metric_channel(tmp_path, capsys):
+    """The decision log and the metrics snapshot are two channels of
+    one recorded run; the health table built from the first must count
+    the same controller passes and core moves as the second."""
+    out = tmp_path / "fig7"
+    assert main(["run", "fig7", "--telemetry", str(out)]) == 0
+    counters = {entry["name"]: entry["value"]
+                for entry in load_metrics_jsonl(out / "metrics.jsonl")
+                if entry["kind"] == "counter"}
+    decisions = load_decisions(out / "decisions.jsonl")
+    health = analyze_decisions(decisions).snapshot()["db"]
+    assert health["decisions"] == counters["controller.ticks"] > 0
+    actions = [d.action for d in decisions]
+    assert actions.count("allocate") == counters["controller.allocations"]
+    assert actions.count("release") == counters["controller.releases"]
 
-    def test_empty_windows_are_skipped_not_scored(self):
-        tracker = SloTracker(
-            SloObjective("lat", "live.latency.p95", "<=", 0.5))
-        assert tracker.observe_window(None) is None
-        assert tracker.skipped == 1
-        assert tracker.burn is None  # no counted window says nothing
-        assert tracker.observe_window(0.4) == 0.0
-        assert tracker.observe_window(0.9) == 0.5
-        assert tracker.observe_window(None) == 0.5
-        assert tracker.counted == 2 and tracker.skipped == 2
-
-    def test_stream_replay_matches_live_tracker(self):
-        objective = SloObjective("lat", "live.latency.p95", "<=", 0.5)
-        live = SloTracker(objective)
-        entries = []
-        for t, value in ((0.25, 0.4), (0.5, None), (0.75, 0.9)):
-            if value is not None:
-                entries.append({"kind": "sample", "t": t,
-                                "series": objective.series,
-                                "value": value})
-            entries.append({"kind": "window", "t": t})
-            live.observe_window(value)
-        assert slo_burn_from_stream(entries, objective) == live.burn
-
-    def test_stream_replay_ignores_other_series(self):
-        objective = SloObjective("lat", "live.latency.p95", "<=", 0.5)
-        entries = [
-            {"kind": "sample", "t": 0.1, "series": "live.throughput",
-             "value": 99.0},
-            {"kind": "window", "t": 0.25},
-        ]
-        assert slo_burn_from_stream(entries, objective) is None
+    capsys.readouterr()
+    assert main(["stats", str(out)]) == 0
+    stats = capsys.readouterr().out
+    assert "controller health" in stats
+    (row,) = [line.split() for line in stats.splitlines()
+              if line.startswith("db ")]
+    assert row[1] == str(health["decisions"])
+    assert row[2] == ("yes" if health["converged"] else "no")
+    assert row[4] == str(health["divergences"])
+    for field, key in ((3, "convergence_time"), (5, "oscillation"),
+                       (6, "flapping"), (7, "mean_lag")):
+        if health[key] is None:
+            assert row[field] == "-"
+        else:
+            assert float(row[field]) == pytest.approx(health[key],
+                                                      abs=5e-3)
