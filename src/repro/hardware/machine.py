@@ -5,7 +5,9 @@ calls it for every execution chunk with the set of pages the running thread
 streams through.  It resolves the footprint run by run against the
 executing socket's L3, charges DRAM/interconnect time for misses, and
 writes every likwid-style counter the controller and the experiment
-harnesses later read.
+harnesses later read.  The scheduler hands it the runs and their home
+nodes as the VM split them while mapping; a standalone call groups,
+splits and validates the footprint itself.
 """
 
 from __future__ import annotations
@@ -119,44 +121,51 @@ class Machine:
         """Convenience passthrough to the topology."""
         return self.topology.node_of_core(core_id)
 
-    def touch(self, now: float, core_id: int,
-              pages: Sequence[int]) -> AccessResult:
+    def touch(self, now: float, core_id: int, pages: Sequence[int], *,
+              placed: list | None = None) -> AccessResult:
         """Stream ``pages`` from core ``core_id``; returns stalls/counters.
 
         Every page must already have a home node — the OS virtual-memory
         layer performs first-touch placement *before* handing work to the
         hardware (see :class:`repro.opsys.vm.VirtualMemory`).  A page
         without one raises before any cache, bank, link or counter
-        changes.
+        changes.  ``placed`` is the footprint's current placement split
+        as :meth:`VirtualMemory.touch_pages` hands it over; given it,
+        the footprint is taken as already grouped, split and validated.
 
         Fetches within one call pipeline: bandwidth reservations at banks
         and links overlap (the batch stalls until the *last* completion),
         while the requester-side line-latency term accumulates per page.
         """
         socket = self.topology.node_of_core(core_id)
-        runs, homes = self._placed_runs(pages, core_id, socket)
-        return self._stream(now, socket, runs, homes, len(pages))
+        if placed is None:
+            placed = self._placed_runs(pages, core_id, socket)
+        return self._stream(now, socket, placed, len(pages))
 
-    def touch_write(self, now: float, core_id: int,
-                    pages: Sequence[int]) -> AccessResult:
+    def touch_write(self, now: float, core_id: int, pages: Sequence[int], *,
+                    placed: list | None = None) -> AccessResult:
         """Like :meth:`touch`, for written pages: writing a page also
         **invalidates** it in every other socket's L3 (the coherence
         traffic the paper's introduction blames on threads "sharing the
         same cache memory" being split across nodes).  Invalidations are
         counted per victim socket as ``l3_invalidations``."""
         socket = self.topology.node_of_core(core_id)
-        runs, homes = self._placed_runs(pages, core_id, socket)
+        if placed is None:
+            placed = self._placed_runs(pages, core_id, socket)
+        runs = None
         for other, cache in enumerate(self.caches):
             if other == socket or not cache._size:
                 continue
+            if runs is None:
+                runs = [run for run, _ in placed]
             dropped = cache._drop(runs)
             if dropped:
                 self._f_l3_inval.add(other, dropped)
-        return self._stream(now, socket, runs, homes, len(pages))
+        return self._stream(now, socket, placed, len(pages))
 
     def _placed_runs(self, pages: Sequence[int], core_id: int, socket: int
-                     ) -> tuple[list[range], list[list[tuple[int, int, int]]]]:
-        """The footprint as page runs, each split into same-home sub-runs.
+                     ) -> list[tuple[range, list[tuple[int, int, int]]]]:
+        """The footprint as page runs, each with its same-home sub-runs.
 
         Validates the whole footprint first: a page that was never
         allocated or never placed raises, naming the page, core and
@@ -164,29 +173,32 @@ class Machine:
         """
         memory = self.memory
         next_page = memory._next_page
-        runs = page_runs(pages)
-        homes = []
-        for run in runs:
-            if 0 <= run.start and run.stop <= next_page:
-                split = memory.home_runs(run.start, run.stop)
-                for _, _, home in split:
-                    if home == UNPLACED:
-                        break
-                else:
-                    homes.append(split)
-                    continue
-            page = next(p for p in run if memory.home(p) == UNPLACED)
-            raise HardwareError(
-                f"page {page} touched before first-touch placement "
-                f"(core {core_id}, socket {socket})")
-        return runs, homes
+        placed = []
+        for run in page_runs(pages):
+            if run.start < 0 or run.stop > next_page:
+                page = run.start if run.start < 0 else max(run.start,
+                                                           next_page)
+                raise HardwareError(
+                    f"page {page} was never allocated "
+                    f"(core {core_id}, socket {socket})")
+            split = memory.home_runs(run.start, run.stop)
+            for lo, _, home in split:
+                if home == UNPLACED:
+                    raise HardwareError(
+                        f"page {lo} touched before first-touch placement "
+                        f"(core {core_id}, socket {socket})")
+            placed.append((run, split))
+        return placed
 
-    def _stream(self, now: float, socket: int, runs: list[range],
-                homes: list[list[tuple[int, int, int]]],
+    def _stream(self, now: float, socket: int,
+                placed: list[tuple[range, list[tuple[int, int, int]]]],
                 n_pages: int) -> AccessResult:
         """Resolve validated runs against the L3 and charge the misses.
 
-        Each run resolves in one :meth:`SharedCache.resolve`; every
+        ``placed`` pairs each run with its same-home sub-runs (adjacent
+        sub-runs may share a home: the bank chain continues across them
+        exactly as within one).  Each run resolves in one
+        :meth:`SharedCache.resolve`; every
         missed sub-run is charged per same-home piece.  Consecutive
         misses on one bank chain their reservations, so a piece's bank,
         link and requester-latency terms are the same left-to-right float
@@ -208,7 +220,7 @@ class Machine:
         bytes_local = 0
         bytes_remote = 0
         imc_pages: dict[int, int] = {}
-        for run, split in zip(runs, homes):
+        for run, split in placed:
             for missed in cache.resolve(run.start, run.stop):
                 a, b = missed.start, missed.stop
                 misses += b - a

@@ -27,6 +27,7 @@ from array import array
 from collections.abc import Iterable, Sequence
 
 from ..errors import HardwareError
+from ..pages import page_runs
 from .topology import Topology
 
 UNPLACED = -1
@@ -180,32 +181,23 @@ class MemorySystem:
                 and self._home[page] != UNPLACED)
 
     def free(self, pages: Iterable[int]) -> None:
-        """Return pages to the system (intermediates being dropped)."""
-        if (type(pages) is range and pages.step == 1
-                and 0 <= pages.start and pages.stop <= self._next_page):
-            n = pages.stop - pages.start
-            if n:
-                # uniform runs (one query's intermediates usually share a
-                # home) release with one comparison and one fill
-                span_bytes = self._home[pages.start:pages.stop].tobytes()
-                if span_bytes == span_bytes[:2] * n:
-                    node = self._home[pages.start]
-                    if node != UNPLACED:
-                        self._pages_per_node[node] -= n
-                        self._home[pages.start:pages.stop] = home_run(
-                            UNPLACED, n)
-                    return
-            # mixed homes: the per-page loop below handles the range
+        """Return pages to the system (intermediates being dropped).
+
+        Each run of ``pages`` releases one block per same-home sub-run;
+        never-allocated and unplaced pages are skipped.
+        """
         home = self._home
         next_page = self._next_page
         per_node = self._pages_per_node
-        for page in pages:
-            if not 0 <= page < next_page:
+        for run in page_runs(pages):
+            start = run.start if run.start > 0 else 0
+            stop = run.stop if run.stop < next_page else next_page
+            if start >= stop:
                 continue
-            node = home[page]
-            if node != UNPLACED:
-                home[page] = UNPLACED
-                per_node[node] -= 1
+            for lo, hi, node in self.home_runs(start, stop):
+                if node != UNPLACED:
+                    per_node[node] -= hi - lo
+                    home[lo:hi] = home_run(UNPLACED, hi - lo)
 
     def pages_on_node(self, node: int) -> int:
         """Number of placed pages homed on ``node``."""
@@ -218,7 +210,7 @@ class MemorySystem:
     def placed_total(self) -> int:
         """Number of pages currently holding a home node."""
         span = self._home[:self._next_page]
-        return len(span) - sum(1 for node in span if node == UNPLACED)
+        return len(span) - span.count(UNPLACED)
 
     def pages_of(self, pages: Iterable[int]) -> dict[int, int]:
         """Histogram (node -> count) of where the given pages live.

@@ -22,7 +22,7 @@ from collections import deque
 
 from ..config import SchedulerConfig
 from ..errors import SchedulerError
-from ..hardware.machine import AccessResult, Machine
+from ..hardware.machine import Machine
 from ..obs.metrics import TIME_BUCKETS
 from ..obs.recorder import NULL_RECORDER
 from ..sim.engine import Simulator
@@ -33,23 +33,6 @@ from .inventory import DEFAULT_TENANT
 from .thread import SimThread, ThreadState
 from .vm import VirtualMemory
 from .workitem import WorkItem
-
-
-def _merge_access(a, b):
-    """Combine two AccessResults from one chunk (reads then writes).
-
-    Kept for API compatibility and tests; the scheduler's own chunk path
-    (:meth:`Scheduler._execute`) sums the fields it needs directly and
-    never allocates the merged object.
-    """
-    return AccessResult(
-        stall_time=a.stall_time + b.stall_time,
-        hits=a.hits + b.hits,
-        misses=a.misses + b.misses,
-        remote_misses=a.remote_misses + b.remote_misses,
-        bytes_local=a.bytes_local + b.bytes_local,
-        bytes_remote=a.bytes_remote + b.bytes_remote,
-    )
 
 
 class _TenantMaskListener:
@@ -379,6 +362,9 @@ class Scheduler:
         freq = self._freq
         touch = machine.touch
         touch_pages = self.vm.touch_pages
+        # the VM's placement split stays valid for the machine call
+        # unless AutoNUMA may migrate pages in between
+        hand_split = not self.vm.numa_balancing
         now = self.sim.now
         elapsed = thread.pending_stall
         useful = 0.0
@@ -409,20 +395,22 @@ class Scheduler:
                 writes_from = len(reads)
                 writes = (item.take_writes(want - writes_from)
                           if writes_from < want else ())
-                # reads and writes stay as the work item's native page
-                # ranges — the VM and machine layers resolve contiguous
-                # ranges with array slices instead of per-page loops
-                faults = touch_pages(reads, node, thread)
+                # reads and writes are slices of the work item's page
+                # runs; the VM maps them run by run and hands the machine
+                # each footprint's placement split
+                read_split = [] if hand_split else None
+                faults = touch_pages(reads, node, thread, placed=read_split)
                 if writes:
-                    faults += touch_pages(writes, node, thread)
+                    write_split = [] if hand_split else None
+                    faults += touch_pages(writes, node, thread,
+                                          placed=write_split)
                 n_batch = writes_from + len(writes)
                 if writes:
-                    # reads then writes, summed field-by-field — the same
-                    # arithmetic _merge_access performs, minus the
-                    # AccessResult allocation per chunk
-                    read_result = (touch(now, core, reads)
+                    # reads then writes, summed field by field
+                    read_result = (touch(now, core, reads, placed=read_split)
                                    if writes_from else None)
-                    write_result = machine.touch_write(now, core, writes)
+                    write_result = machine.touch_write(now, core, writes,
+                                                       placed=write_split)
                     if read_result is None:
                         stall = write_result.stall_time
                         misses = write_result.misses
@@ -438,7 +426,7 @@ class Scheduler:
                         bytes_remote = (read_result.bytes_remote
                                         + write_result.bytes_remote)
                 else:
-                    result = touch(now, core, reads)
+                    result = touch(now, core, reads, placed=read_split)
                     stall = result.stall_time
                     misses = result.misses
                     bytes_local = result.bytes_local

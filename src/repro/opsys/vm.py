@@ -19,7 +19,9 @@ home map in :mod:`repro.hardware.memory`.  The hot
 takes any footprint as page runs (:func:`repro.pages.page_runs`) and
 each run as same-home sub-runs: fault detection is one
 ``bytes.translate`` + ``count`` over the bitmask slice, and placement
-and the residency histogram resolve per sub-run in O(1).
+and the residency histogram resolve per sub-run in O(1).  The resulting
+placement split can be handed to :meth:`repro.hardware.machine.Machine.touch`
+(``placed=``), which then streams the same runs without regrouping them.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class VirtualMemory:
         return seen, self._set_tables[node]
 
     def touch_pages(self, pages: Sequence[int], node: int,
-                    thread: SimThread | None = None) -> int:
+                    thread: SimThread | None = None, *,
+                    placed: list | None = None) -> int:
         """Prepare ``pages`` for access from ``node``.
 
         Unplaced pages are first-touched (placed on ``node``); already-placed
@@ -90,13 +93,41 @@ class VirtualMemory:
         number of minor faults raised is returned and counted per node.
         A bad node, a never-allocated page or a full memory bank raises
         before any mapping, placement or counter changes.
+
+        A ``placed`` list receives the footprint's placement split as it
+        stands after the call: one ``(run, [(lo, hi, home), ...])`` pair
+        per page run, the form :meth:`Machine.touch` takes as its own
+        ``placed`` so it need not regroup and re-split the same pages.
+        With ``numa_balancing`` on, pages may migrate after mapping, so
+        the split is only valid until the next migration.
         """
         memory = self.machine.memory
         runs = page_runs(pages)
         self._check(runs, len(pages), node, memory)
+        seen_tbl, set_tbl = self._tables(node)
+        home_arr = memory._home
+        mapped = self._mapped
         faults = 0
         for run in runs:
-            faults += self._touch_range(run, node, thread, memory)
+            if run.stop > len(mapped):
+                mapped = self._mapped_span(run.stop)
+            split = memory.home_runs(run.start, run.stop)
+            for i, (lo, hi, home) in enumerate(split):
+                n = hi - lo
+                if home == UNPLACED:
+                    home_arr[lo:hi] = home_run(node, n)
+                    memory._pages_per_node[node] += n
+                    home = node
+                    split[i] = (lo, hi, node)
+                segment = bytes(mapped[lo:hi])
+                missing = n - segment.translate(seen_tbl).count(1)
+                if missing:
+                    mapped[lo:hi] = segment.translate(set_tbl)
+                    faults += missing
+                if thread is not None:
+                    thread.note_pages(home, n)
+            if placed is not None:
+                placed.append((run, split))
         if faults:
             self._f_minor.add(node, faults)
         if self.numa_balancing:
@@ -115,41 +146,19 @@ class VirtualMemory:
                         else max(run.start, next_page))
                 raise HardwareError(f"page {page} was never allocated")
         if memory._pages_per_node[node] + n_pages > memory.bank_pages:
-            # only unplaced pages land on the bank, each once
-            home = memory._home
-            fresh = {page for run in runs for page in run
-                     if home[page] == UNPLACED}
-            if memory._pages_per_node[node] + len(fresh) > memory.bank_pages:
+            # only unplaced pages land on the bank, each once: count
+            # them per same-home sub-run of the runs' union
+            fresh = 0
+            stop = -1
+            for run in sorted(runs, key=lambda r: r.start):
+                lo = run.start if run.start > stop else stop
+                if run.stop > lo:
+                    fresh += sum(b - a for a, b, home
+                                 in memory.home_runs(lo, run.stop)
+                                 if home == UNPLACED)
+                    stop = run.stop
+            if memory._pages_per_node[node] + fresh > memory.bank_pages:
                 raise HardwareError(f"memory bank of node {node} is full")
-
-    def _touch_range(self, pages: range, node: int,
-                     thread: SimThread | None, memory) -> int:
-        """Map one contiguous allocated run from ``node``.
-
-        Each same-home sub-run resolves with no per-page work: faults
-        are one ``bytes.translate`` + ``count`` over the bitmask slice,
-        an unplaced sub-run first-touches onto ``node`` in one store
-        (nothing can have mapped a page without placing it), and the
-        residency histogram takes one entry.
-        """
-        mapped = self._mapped_span(pages.stop)
-        seen_tbl, set_tbl = self._tables(node)
-        home_arr = memory._home
-        faults = 0
-        for lo, hi, home in memory.home_runs(pages.start, pages.stop):
-            n = hi - lo
-            segment = bytes(mapped[lo:hi])
-            missing = n - segment.translate(seen_tbl).count(1)
-            if missing:
-                if home == UNPLACED:
-                    home_arr[lo:hi] = home_run(node, n)
-                    memory._pages_per_node[node] += n
-                    home = node
-                mapped[lo:hi] = segment.translate(set_tbl)
-                faults += missing
-            if thread is not None:
-                thread.note_pages(home, n)
-        return faults
 
     def _autonuma(self, pages: Sequence[int], node: int) -> None:
         """AutoNUMA: migrate pages hot on a remote node toward it."""

@@ -10,6 +10,10 @@ pages 120..143 of ``l_quantity``".  It carries:
 * ``cycles``: total compute cost, spread uniformly across pages (plus an
   optional fixed startup cost).
 
+Both footprints are held as page runs, grouped once at construction,
+so every execution slice hands the VM a ``range`` or a
+:class:`~repro.pages.PageSegments` rather than a page list to regroup.
+
 Items are resumable: the scheduler executes them in quantum-sized chunks and
 tracks progress inside the item.
 """
@@ -20,7 +24,24 @@ from collections import deque
 from collections.abc import Callable, Sequence
 
 from ..errors import SchedulerError
-from ..pages import PageSegments  # noqa: F401  (re-export: moved to repro.pages)
+from ..pages import PageSegments, page_runs
+
+
+def _as_runs(pages: Sequence[int]) -> Sequence[int]:
+    """``pages`` as page runs: the same pages in the same order.
+
+    A step-1 ``range`` or a :class:`PageSegments` is returned as is;
+    any other sequence is grouped once (:func:`repro.pages.page_runs`)
+    into one run or a :class:`PageSegments` of runs, whose slices stay
+    runs.
+    """
+    kind = type(pages)
+    if (kind is range and pages.step == 1) or kind is PageSegments:
+        return pages
+    runs = page_runs(pages)
+    if len(runs) == 1:
+        return runs[0]
+    return PageSegments(runs) if runs else range(0)
 
 
 class WorkItem:
@@ -42,8 +63,8 @@ class WorkItem:
         if cycles < 0 or fixed_cycles < 0:
             raise SchedulerError("work cycles cannot be negative")
         self.label = label
-        self.reads = reads
-        self.writes = writes
+        self.reads = _as_runs(reads)
+        self.writes = _as_runs(writes)
         self.cycles = float(cycles)
         self.fixed_cycles = float(fixed_cycles)
         self.query_name = query_name

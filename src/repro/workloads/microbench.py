@@ -21,6 +21,7 @@ from ..errors import WorkloadError
 from ..opsys.system import OperatingSystem
 from ..opsys.thread import SimThread
 from ..opsys.workitem import ListWorkSource, WorkItem
+from ..pages import PageSegments
 
 #: columns the hand-coded kernel streams (Fig 3's C code)
 Q6_COLUMNS = ("l_quantity", "l_extendedprice", "l_discount", "l_shipdate")
@@ -63,9 +64,9 @@ class _Client:
         n = bench.threads_per_client
         self.live_threads = n
         for t in range(n):
-            pages: list[int] = []
-            for column in Q6_COLUMNS:
-                pages.extend(bench.table.bat(column).page_slice(t, n))
+            # the thread's slice of each column, kept as four runs
+            pages = PageSegments([bench.table.bat(column).page_slice(t, n)
+                                  for column in Q6_COLUMNS])
             cycles = (len(pages) * bench.os.machine.memory.page_bytes
                       * C_CYCLES_PER_BYTE)
             source = ListWorkSource([WorkItem(

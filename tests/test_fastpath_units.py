@@ -1,8 +1,8 @@
 """Unit tests for the fast-path kernel's supporting structures.
 
 Micro-regressions for the hot-path rewrite: the O(1) live-event counter
-and timer re-arming in the simulator, the module-level ``AccessResult``
-import in the scheduler, the incrementally maintained per-core load
+and timer re-arming in the simulator, the import-free scheduler chunk
+path, the incrementally maintained per-core load
 aggregate, the cpuset bitmask caches and batch page placement.
 """
 
@@ -118,13 +118,6 @@ def test_reschedule_negative_delay_is_rejected():
 
 def _opnames(fn):
     return {instruction.opname for instruction in dis.get_instructions(fn)}
-
-
-def test_merge_access_does_not_import_in_the_hot_path():
-    """AccessResult is imported at module level, not per merge call."""
-    from repro.opsys.scheduler import _merge_access
-
-    assert "IMPORT_NAME" not in _opnames(_merge_access)
 
 
 def test_execute_does_not_import_in_the_hot_path():

@@ -56,10 +56,26 @@ def test_rejected_touch_leaves_state_unchanged(machine, write):
 def test_touch_never_allocated_page_rejected(machine):
     placed = _place(machine, 2, node=0)
     before = _machine_state(machine)
-    with pytest.raises(HardwareError, match="page 2 touched"):
+    with pytest.raises(HardwareError, match="page 2 was never allocated"):
         machine.touch(0.0, 0, range(0, 4))
-    with pytest.raises(HardwareError, match="page -1 touched"):
+    with pytest.raises(HardwareError, match="page -1 was never allocated"):
         machine.touch(0.0, 0, [placed[0], -1])
+    assert _machine_state(machine) == before
+
+
+@pytest.mark.parametrize("write", [False, True])
+@pytest.mark.parametrize("pages, page", [
+    ([13], 13), (range(0, 11), 8), ([-1], -1)])
+def test_never_allocated_page_is_named_as_such(machine, write, pages, page):
+    """The machine names a never-allocated page the way the VM does,
+    not as one touched before placement."""
+    _place(machine, 8, node=1)
+    before = _machine_state(machine)
+    touch = machine.touch_write if write else machine.touch
+    with pytest.raises(HardwareError) as excinfo:
+        touch(0.0, 2, pages)
+    assert str(excinfo.value) == (
+        f"page {page} was never allocated (core 2, socket 1)")
     assert _machine_state(machine) == before
 
 

@@ -8,6 +8,7 @@ from repro.hardware.prebuilt import small_numa
 from repro.opsys.thread import SimThread
 from repro.opsys.vm import VirtualMemory
 from repro.opsys.workitem import ListWorkSource
+from repro.pages import PageSegments
 from repro.units import kib
 
 
@@ -74,6 +75,15 @@ def test_repeat_touch_same_node_no_fault(vm):
     pages = list(vm.machine.memory.allocate(2))
     vm.touch_pages(pages, node=0)
     assert vm.touch_pages(pages, node=0) == 0
+
+
+def test_mapping_bitmask_grows_past_its_initial_capacity(vm):
+    """Pages far above the bitmask's first 1024 ids map and stay mapped."""
+    vm.machine.memory.allocate(5000)
+    pages = range(4000, 4100)
+    assert vm.touch_pages(PageSegments([range(10, 20), pages]), 0) == 110
+    assert vm.touch_pages(pages, 0) == 0
+    assert vm.nodes_mapping(4050) == [0]
 
 
 def test_remote_mapping_faults_once_per_node(vm):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.opsys.workitem import ListWorkSource, WorkItem
+from repro.pages import PageSegments
 
 
 def test_progress_counters():
@@ -21,6 +22,35 @@ def test_take_reads_then_writes():
     assert list(item.take_reads(5)) == [2]
     assert list(item.take_writes(5)) == [10, 11]
     assert item.remaining_pages == 0
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 100])
+def test_list_footprint_streams_the_list(chunk):
+    """A page list is held as runs but streams exactly its pages, in
+    order: gaps, duplicates and descending ids included."""
+    reads = [5, 6, 7, 2, 3, 3, 4, 9, 8, 7, 20, 21, 5]
+    writes = [40, 41, 43, 42]
+    item = WorkItem("scan", reads=reads, writes=writes)
+    assert len(item.reads) == len(reads)
+    assert item.total_pages == len(reads) + len(writes)
+    streamed, written = [], []
+    while item.remaining_pages:
+        taken = item.take_reads(chunk)
+        put = item.take_writes(chunk - len(taken))
+        # slices come back as runs, never as page lists
+        assert type(taken) in (range, PageSegments)
+        assert type(put) in (range, PageSegments)
+        streamed += taken
+        written += put
+    assert streamed == reads
+    assert written == writes
+
+
+def test_runs_are_kept_as_given():
+    pages = range(3, 9)
+    segments = PageSegments([range(0, 2), [7, 5]])
+    item = WorkItem("scan", reads=segments, writes=pages)
+    assert item.reads is segments and item.writes is pages
 
 
 def test_retire_cycles_clamped():

@@ -11,6 +11,11 @@ one page at a time through the general-purpose
 that maps page by page and flushes first touches through
 :meth:`~repro.hardware.memory.MemorySystem.place_batch`.
 
+The scheduler maps a slice's reads and then its writes, and hands the
+VM's placement split (``placed=``) to the machine calls unless AutoNUMA
+may move pages in between; a ``step`` command drives the real layers
+exactly that way, with AutoNUMA off and on, against the reference.
+
 Hypothesis drives both through the same command scripts on
 ``small_numa()`` machines with 1-8 page L3s and compares the complete
 observable state after every step: the ``AccessResult``, resident order,
@@ -23,13 +28,15 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import SchedulerConfig
 from repro.hardware.cache import SharedCache
 from repro.hardware.machine import AccessResult, Machine
 from repro.hardware.memory import UNPLACED
 from repro.hardware.prebuilt import small_numa
+from repro.opsys.system import OperatingSystem
 from repro.opsys.thread import SimThread
 from repro.opsys.vm import VirtualMemory
-from repro.opsys.workitem import ListWorkSource
+from repro.opsys.workitem import ListWorkSource, WorkItem
 from repro.pages import PageSegments, page_runs
 from repro.units import kib
 
@@ -161,6 +168,9 @@ def ref_touch_pages(vm: VirtualMemory, pages, node: int,
         thread.note_pages(home, count)
     if faults:
         vm.counters.add("minor_faults", node, faults)
+    if vm.numa_balancing:
+        # AutoNUMA is per-page code already; both sides share it
+        vm._autonuma(pages, node)
     return faults
 
 
@@ -210,19 +220,31 @@ def _footprint(spec, total: int):
     return PageSegments(segments)
 
 
-_commands = st.lists(st.one_of(
-    st.tuples(st.just("touch"), _footprints, st.integers(0, 3),
-              st.sampled_from((0.0, 1e-6, 2e-5, 1e-4)), st.booleans()),
+_dts = st.sampled_from((0.0, 1e-6, 2e-5, 1e-4))
+_state_commands = (
     st.tuples(st.just("forget"), _footprints),
     st.tuples(st.just("migrate"), _ids, st.integers(0, 1)),
     st.tuples(st.just("flush")),
     st.tuples(st.just("alloc"), st.integers(1, 12)),
     # foreign link traffic: a busy link paces the next remote run
     st.tuples(st.just("transfer"), st.integers(0, 1), st.integers(1, 6)),
+)
+_commands = st.lists(st.one_of(
+    st.tuples(st.just("touch"), _footprints, st.integers(0, 3), _dts,
+              st.booleans()),
+    *_state_commands,
+), max_size=30)
+#: scheduler slices: reads, then writes (``None``: the reads again)
+_step_commands = st.lists(st.one_of(
+    st.tuples(st.just("step"), _footprints,
+              st.one_of(st.none(), _footprints), st.integers(0, 3), _dts),
+    *_state_commands,
 ), max_size=30)
 
 
-def _system(l3_pages: int, slow_links: bool, reference: bool):
+def _system(l3_pages: int, slow_links: bool, reference: bool,
+            streak: int = 0):
+    """A machine, its VM (AutoNUMA on with a ``streak``) and 2 threads."""
     overrides = {"l3_bytes": kib(64) * l3_pages}
     if slow_links:
         # the link, not the bank, paces remote runs
@@ -230,7 +252,8 @@ def _system(l3_pages: int, slow_links: bool, reference: bool):
     machine = Machine(small_numa(**overrides))
     if reference:
         machine.caches = [RefCache(l3_pages) for _ in machine.caches]
-    vm = VirtualMemory(machine)
+    vm = VirtualMemory(machine, numa_balancing=streak > 0,
+                       migration_streak=max(streak, 1))
     for n in (12, 20, 8):
         machine.memory.allocate(n)
     threads = [SimThread(ListWorkSource()) for _ in range(2)]
@@ -256,11 +279,57 @@ def _state(machine: Machine, vm: VirtualMemory, threads) -> tuple:
     )
 
 
-def _replay(l3_pages: int, slow_links: bool, commands) -> None:
+def _split_pages(placed) -> list[tuple[int, int]]:
+    """A handed-over split as (page, home) pairs in streaming order."""
+    return [(page, home) for _, split in placed
+            for lo, hi, home in split for page in range(lo, hi)]
+
+
+def _step(machine, vm, thread, now, core, reads, writes):
+    """One scheduler slice on the real layers: map the reads, then the
+    writes, then stream both with the VM's split handed over (none
+    while AutoNUMA may migrate pages in between)."""
+    node = machine.topology.node_of_core(core)
+    hand = not vm.numa_balancing
+    read_split = [] if hand else None
+    write_split = [] if hand else None
+    faults = vm.touch_pages(reads, node, thread, placed=read_split)
+    faults += vm.touch_pages(writes, node, thread, placed=write_split)
+    memory = machine.memory
+    results = []
+    for pages, split, touch in ((reads, read_split, machine.touch),
+                                (writes, write_split, machine.touch_write)):
+        if not len(pages):
+            continue
+        if split is not None:
+            # the split is the footprint's current placement, in order
+            assert [run for run, _ in split] == page_runs(pages)
+            assert _split_pages(split) == [(page, memory.home(page))
+                                           for page in pages]
+        results.append(touch(now, core, pages, placed=split))
+    return faults, results
+
+
+def _ref_step(machine, vm, thread, now, core, reads, writes):
+    node = machine.topology.node_of_core(core)
+    faults = ref_touch_pages(vm, reads, node, thread)
+    faults += ref_touch_pages(vm, writes, node, thread)
+    results = []
+    if len(reads):
+        results.append(ref_touch(machine, now, core, reads))
+    if len(writes):
+        results.append(ref_touch_write(machine, now, core, writes))
+    return faults, results
+
+
+def _replay(l3_pages: int, slow_links: bool, commands,
+            streak: int = 0) -> None:
     """Run ``commands`` on both systems, comparing state after each."""
-    machine, vm, threads = _system(l3_pages, slow_links, reference=False)
+    machine, vm, threads = _system(l3_pages, slow_links, reference=False,
+                                   streak=streak)
     ref_machine, ref_vm, ref_threads = _system(l3_pages, slow_links,
-                                               reference=True)
+                                               reference=True,
+                                               streak=streak)
     now = 0.0
     for command in commands:
         total = machine.memory._next_page
@@ -282,6 +351,17 @@ def _replay(l3_pages: int, slow_links: bool, commands) -> None:
                 result = machine.touch(now, core, pages)
                 expected = ref_touch(ref_machine, now, core, pages)
             assert result == expected
+        elif kind == "step":
+            _, read_spec, write_spec, core, dt = command
+            reads = _footprint(read_spec, total)
+            writes = (reads if write_spec is None
+                      else _footprint(write_spec, total))
+            now += dt
+            got = _step(machine, vm, threads[core % 2], now, core,
+                        reads, writes)
+            assert got == _ref_step(ref_machine, ref_vm,
+                                    ref_threads[core % 2], now, core,
+                                    reads, writes)
         elif kind == "forget":
             pages = _footprint(command[1], total)
             vm.forget(pages)
@@ -313,6 +393,77 @@ def _replay(l3_pages: int, slow_links: bool, commands) -> None:
 def test_touch_paths_match_the_per_page_model(l3_pages, slow_links,
                                                commands):
     _replay(l3_pages, slow_links, commands)
+
+
+@settings(max_examples=250, deadline=None)
+@given(l3_pages=st.integers(1, 8), slow_links=st.booleans(),
+       streak=st.sampled_from((0, 0, 1, 2)), commands=_step_commands)
+def test_handed_split_matches_the_per_page_model(l3_pages, slow_links,
+                                                  streak, commands):
+    """Scheduler slices (AutoNUMA off, or on with a 1- or 2-batch
+    streak) with the VM's split handed to the machine."""
+    _replay(l3_pages, slow_links, commands, streak)
+
+
+def test_handed_split_with_overlapping_reads_and_writes():
+    """Writes that re-touch the slice's reads and a list with a gap and
+    duplicates: the reads' split stays current after the writes map."""
+    _replay(2, False, [
+        ("step", ("list", [3, 4, 9, 3, 4, 5]), ("range", 4, 8), 0, 0.0),
+        ("step", ("segments", ((2, 5), (30, 2)), True), None, 2, 1e-6),
+        ("forget", ("range", 3, 4)),
+        ("step", ("range", 0, 12), ("list", [40, 3, 41, 3]), 3, 0.0),
+    ])
+
+
+def test_autonuma_migration_would_stale_a_split():
+    """Why no split is handed with AutoNUMA on: the reads' own
+    migrations re-home pages after the VM split them."""
+    machine, vm, threads = _system(8, False, reference=False, streak=1)
+    pages = range(0, 6)
+    vm.touch_pages(pages, 1, threads[0])  # first touch on node 1
+    placed = []
+    vm.touch_pages(pages, 0, threads[0], placed=placed)
+    assert _split_pages(placed) == [(page, 1) for page in pages]
+    assert [machine.memory.home(page) for page in pages] == [0] * 6
+
+
+def _scheduler_splits(numa_balancing: bool) -> list:
+    """The ``placed`` argument of every machine call of a small run,
+    checked against the home map at the call."""
+    os_ = OperatingSystem(small_numa(), SchedulerConfig(
+        numa_balancing=numa_balancing, numa_migration_streak=1))
+    memory = os_.machine.memory
+    data = memory.allocate(24)
+    memory.place_batch(data, 1)
+    out = memory.allocate(8)
+    seen = []
+
+    def spy(method):
+        def wrapper(now, core, pages, *, placed=None):
+            if placed is not None:
+                assert _split_pages(placed) == [
+                    (page, memory.home(page)) for page in pages]
+            seen.append(placed)
+            return method(now, core, pages, placed=placed)
+        return wrapper
+
+    os_.machine.touch = spy(os_.machine.touch)
+    os_.machine.touch_write = spy(os_.machine.touch_write)
+    items = [WorkItem("scan", reads=[*data[:12], *data[:12], 30, 2],
+                      writes=out, cycles=5e6),
+             WorkItem("scan", reads=PageSegments([data[12:], data[:4]]),
+                      cycles=5e6)]
+    for core, item in enumerate(items):
+        os_.spawn_thread(ListWorkSource([item]), pinned_core=core)
+    os_.run_until_idle()
+    assert seen
+    return seen
+
+
+def test_scheduler_hands_the_current_split_unless_autonuma_is_on():
+    assert all(placed is not None for placed in _scheduler_splits(False))
+    assert all(placed is None for placed in _scheduler_splits(True))
 
 
 def test_bank_takes_over_pacing_from_a_busy_link():
