@@ -62,7 +62,8 @@ def _cancel_rate(n_events: int) -> float:
 
 
 def _counter_rates(n_ops: int) -> tuple[float, float]:
-    """(adds/s via name lookup, adds/s via family handle)."""
+    """(adds/s via name lookup, adds/s via in-place family-handle
+    writes, the form the hot writers use)."""
     bank = CounterBank()
     start = time.perf_counter()
     for i in range(n_ops):
@@ -73,7 +74,7 @@ def _counter_rates(n_ops: int) -> tuple[float, float]:
     handle = bank.family("busy_time")
     start = time.perf_counter()
     for i in range(n_ops):
-        handle.add(i & 15, 1.0)
+        handle[i & 15] += 1.0
     by_handle = n_ops / (time.perf_counter() - start)
     return by_name, by_handle
 

@@ -7,97 +7,77 @@ needing *rates over a window* (the controller's monitor, the harnesses)
 take a :class:`CounterSnapshot` and later diff against a newer one, exactly
 how a real monitoring loop samples MSRs.
 
-Array-backed layout
--------------------
-Storage is **per family**: each counter name owns a compact
-``array('d')`` of values plus an index map assigning every index a slot.
-This replaces the original flat ``(name, index) -> float`` dict, whose
-``total()``/``by_index()`` had to scan *every* counter of *every*
-family on each monitor tick.  Family reductions now touch only that
-family's C-contiguous array — and ``sum()`` over an ``array('d')`` adds
-left-to-right exactly like the old generator expression, so totals are
-bit-identical (slot order *is* the old dict's family-restricted
-insertion order).  Snapshots copy the value arrays (one C memcpy per
-family) and alias the slot maps, which only ever grow; batch consumers
-may grab a zero-copy numpy view via :meth:`CounterBank.family_values`.
+Per-family dicts
+----------------
+Storage is **per family**: each counter name owns one plain ``dict``
+from index to value (a :class:`_Family`, whose ``__missing__`` reads an
+absent counter as ``0.0`` without creating it).  Hot writers resolve a
+family handle once and update it in place with ``family[index] +=
+amount`` — one C-level dict read and store per counter event.
+``total()``/``by_index()`` touch only the requested family.  A family's
+keys sit in first-write order, so ``total()`` adds left-to-right in that
+order on every call and its float result never depends on other
+families.  Snapshots copy each family with one ``dict()`` call.
+
+Writers pass Python ``int``/``float`` amounts: a counter value is always
+a Python ``float`` (``0.0 + amount`` on first write), which keeps
+digests and pickles free of numpy scalars.
 """
 
 from __future__ import annotations
 
-from array import array
 
+class _Family(dict):
+    """One counter family: ``index -> value`` in first-write order.
 
-class _Family:
-    """One counter family: slot map + packed values.
-
-    ``slots`` assigns each index a position in ``values`` in first-write
-    order, so iterating ``slots`` replays the family's insertion order —
-    the same order the flat dict layout exposed.
+    Reading a missing index yields ``0.0`` and does not insert it, so
+    ``family[index] += amount`` creates the counter only on a write.
     """
 
-    __slots__ = ("slots", "values")
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self.slots: dict = {}
-        self.values: array = array("d")
-
-    def add(self, index, amount: float) -> None:
-        """Increase the counter at ``index`` by ``amount``.
-
-        The hot-path entry point for callers holding a
-        :meth:`CounterBank.family` handle: one dict probe and one array
-        store, no per-call family lookup.
-        """
-        pos = self.slots.get(index)
-        if pos is None:
-            self.slots[index] = len(self.values)
-            self.values.append(0.0 + amount)
-        else:
-            self.values[pos] += amount
+    def __missing__(self, index) -> float:
+        return 0.0
 
 
-class CounterSnapshot:
-    """Immutable copy of all counters at one instant.
+class _Reads:
+    """Family reads shared by the live bank and its snapshots.
 
-    ``families`` maps name to ``(slots, values)`` where ``slots`` is
-    aliased from the live bank (it only grows, never mutates in place)
-    and ``values`` is a frozen copy; a slot past the copied length is a
-    counter born after the snapshot, read as 0.0.
+    Each reduction touches only the requested family (O(family), not
+    O(all counters)) and adds left-to-right in first-write order.
     """
 
-    __slots__ = ("time", "_families")
-
-    def __init__(self, time: float,
-                 families: dict[str, tuple[dict, array]]):
-        self.time = time
-        self._families = families
+    __slots__ = ()
+    _families: dict[str, dict]
 
     def get(self, name: str, index=0) -> float:
-        """Cumulative value of one counter at snapshot time."""
+        """Cumulative value of one counter."""
         family = self._families.get(name)
-        if family is None:
-            return 0.0
-        slots, values = family
-        pos = slots.get(index)
-        if pos is None or pos >= len(values):
-            return 0.0
-        return values[pos]
+        return 0.0 if family is None else family.get(index, 0.0)
 
     def total(self, name: str) -> float:
         """Sum of one counter family across all indices."""
         family = self._families.get(name)
-        if family is None:
-            return 0.0
-        return sum(family[1])
+        return 0.0 if family is None else sum(family.values())
 
     def by_index(self, name: str) -> dict:
         """Family values keyed by index (e.g. per-socket L3 misses)."""
         family = self._families.get(name)
-        if family is None:
-            return {}
-        slots, values = family
-        n = len(values)
-        return {i: values[p] for i, p in slots.items() if p < n}
+        return {} if family is None else dict(family)
+
+
+class CounterSnapshot(_Reads):
+    """Immutable copy of all counters at one instant.
+
+    ``families`` maps name to a plain ``index -> value`` dict copied
+    from the live bank; later writes and resets never reach it.
+    """
+
+    __slots__ = ("time", "_families")
+
+    def __init__(self, time: float, families: dict[str, dict]):
+        self.time = time
+        self._families = families
 
     def delta(self, earlier: "CounterSnapshot", name: str,
               index=0) -> float:
@@ -124,7 +104,7 @@ class CounterSnapshot:
         return self.delta_total(earlier, name) / dt
 
 
-class CounterBank:
+class CounterBank(_Reads):
     """Mutable cumulative counters, written by the hardware/OS models.
 
     Well-known families used across the library:
@@ -152,116 +132,37 @@ class CounterBank:
 
     def add(self, name: str, index, amount: float) -> None:
         """Increase counter ``(name, index)`` by ``amount`` (>= 0)."""
-        family = self._families.get(name)
-        if family is None:
-            family = self._families[name] = _Family()
-        pos = family.slots.get(index)
-        if pos is None:
-            family.slots[index] = len(family.values)
-            family.values.append(0.0 + amount)
-        else:
-            family.values[pos] += amount
+        self.family(name)[index] += amount
 
     def increment(self, name: str, index=0) -> None:
         """Increase counter ``(name, index)`` by one event."""
-        self.add(name, index, 1.0)
+        self.family(name)[index] += 1.0
 
     def family(self, name: str) -> _Family:
         """Live handle on one family for hot writers.
 
-        The returned object stays valid for the lifetime of the bank —
-        :meth:`reset` swaps each family's internals rather than the
-        family object — so callers may resolve it once (e.g. at machine
-        construction) and call ``handle.add(index, amount)`` per event,
-        skipping the per-call name lookup.  Creating the handle does not
-        create any counter slot, so first-write slot order (and with it
-        the bit-exact ``total()`` summation order) is unchanged.
+        The returned dict stays valid for the lifetime of the bank —
+        :meth:`reset` clears it in place — so callers may resolve it
+        once (e.g. at machine construction) and write
+        ``handle[index] += amount`` per event.  Creating the handle
+        creates no counter, so first-write order is unchanged.
         """
         family = self._families.get(name)
         if family is None:
             family = self._families[name] = _Family()
         return family
 
-    def get(self, name: str, index=0) -> float:
-        """Current cumulative value of one counter."""
-        family = self._families.get(name)
-        if family is None:
-            return 0.0
-        pos = family.slots.get(index)
-        return 0.0 if pos is None else family.values[pos]
-
-    def slot(self, name: str, index) -> int:
-        """Stable slot of ``(name, index)`` in the family array.
-
-        Creates the counter (at 0.0) on first use, so hot readers such as
-        the load sampler can resolve indices once and then read
-        :meth:`family_values` positionally every tick.
-        """
-        family = self._families.get(name)
-        if family is None:
-            family = self._families[name] = _Family()
-        pos = family.slots.get(index)
-        if pos is None:
-            pos = family.slots[index] = len(family.values)
-            family.values.append(0.0)
-        return pos
-
-    def family_values(self, name: str) -> array:
-        """The live packed value array of one family (read-only use).
-
-        Positions follow :meth:`slot`; the array object is reallocated
-        only by :meth:`reset`, though appends may move its buffer —
-        re-fetch per batch rather than caching numpy views across adds.
-        """
-        family = self._families.get(name)
-        if family is None:
-            family = self._families[name] = _Family()
-        return family.values
-
-    def family_slots(self, name: str) -> dict:
-        """Index -> slot map of one family (empty if unwritten)."""
-        family = self._families.get(name)
-        return {} if family is None else family.slots
-
-    def total(self, name: str) -> float:
-        """Sum of one counter family across all indices.
-
-        O(family), not O(all counters): ``sum`` over the packed array
-        adds left-to-right in slot (= insertion) order, bit-identical to
-        the flat-dict scan this layout replaced.
-        """
-        family = self._families.get(name)
-        if family is None:
-            return 0.0
-        return sum(family.values)
-
-    def by_index(self, name: str) -> dict:
-        """Family values keyed by index (e.g. per-socket L3 misses)."""
-        family = self._families.get(name)
-        if family is None:
-            return {}
-        values = family.values
-        return {i: values[p] for i, p in family.slots.items()}
-
     def snapshot(self, time: float) -> CounterSnapshot:
-        """Copy all counters for windowed-rate computation.
-
-        One C-level array copy per family; slot maps are aliased (they
-        only grow, and :class:`CounterSnapshot` treats out-of-range
-        slots as born-later counters).
-        """
+        """Copy all counters for windowed-rate computation."""
         return CounterSnapshot(
-            time, {name: (family.slots, family.values[:])
+            time, {name: dict(family)
                    for name, family in self._families.items()})
 
     def reset(self) -> None:
         """Zero every counter (used between experiment repetitions).
 
-        Families are emptied by swapping in fresh internals: the
-        ``_Family`` objects themselves survive, keeping
-        :meth:`family` handles valid, while snapshots taken before the
-        reset keep their aliased (old) slot maps intact.
+        Each family is cleared in place, so :meth:`family` handles stay
+        valid; snapshots hold their own copies and are unaffected.
         """
         for family in self._families.values():
-            family.slots = {}
-            family.values = array("d")
+            family.clear()

@@ -93,12 +93,9 @@ class LoadSampler:
             useful = {c: 0.0 for c in cores}
         else:
             window = current.time - previous.time
-            # the per-core deltas, read positionally off the two
-            # snapshots' packed family arrays (same arithmetic as
-            # CounterSnapshot.delta, minus two method calls per core
-            # per tick).  Both snapshots come from one bank, so they
-            # alias the same slot map; a slot past either array is a
-            # counter born after that snapshot, read as 0.0.
+            # the per-core deltas, read straight off the two snapshots'
+            # family dicts (same arithmetic as CounterSnapshot.delta,
+            # minus two method calls per core per tick)
             busy = self._percent(current, previous, "busy_time",
                                  cores, window)
             useful = self._percent(current, previous, "useful_time",
@@ -119,18 +116,13 @@ class LoadSampler:
         cur_family = current._families.get(name)
         if cur_family is None:
             return {c: 0.0 for c in cores}
-        slots, values = cur_family
-        n_cur = len(values)
-        prev_family = previous._families.get(name)
-        prev_values = () if prev_family is None else prev_family[1]
-        n_prev = len(prev_values)
+        prev_family = previous._families.get(name, {})
         out = {}
         for core in cores:
-            pos = slots.get(core)
-            if pos is None:
+            cur_v = cur_family.get(core)
+            if cur_v is None:
                 out[core] = 0.0
                 continue
-            cur_v = values[pos] if pos < n_cur else 0.0
-            prev_v = prev_values[pos] if pos < n_prev else 0.0
+            prev_v = prev_family.get(core, 0.0)
             out[core] = min(100.0, 100.0 * (cur_v - prev_v) / window)
         return out

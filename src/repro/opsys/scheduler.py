@@ -314,7 +314,7 @@ class Scheduler:
                         continue
                 queue.remove(thread)
                 self._load[donor] -= 1
-                self._f_stolen.add(core, 1.0)
+                self._f_stolen[core] += 1.0
                 self._note_migration(thread, donor, core, stolen=True)
                 thread.core = core
                 queues[core].append(thread)
@@ -330,7 +330,7 @@ class Scheduler:
         self._running[core] = thread
         self._load[core] += 1
         self._c_dispatches.inc()
-        self._f_tasks.add(core, 1.0)
+        self._f_tasks[core] += 1.0
         if self._last_ran[core] is not thread:
             self._last_ran[core] = thread
             thread.pending_stall += self.config.context_switch_cost
@@ -441,9 +441,9 @@ class Scheduler:
                             + faults * minor_fault_cost)
                 if item.query_name:
                     name = item.query_name
-                    self._f_query_ht.add(name, bytes_remote)
-                    self._f_query_imc.add(name, bytes_local + bytes_remote)
-                    self._f_query_l3.add(name, misses)
+                    self._f_query_ht[name] += bytes_remote
+                    self._f_query_imc[name] += bytes_local + bytes_remote
+                    self._f_query_l3[name] += misses
             else:
                 # trailing (or pure) compute
                 need = (total_cycles - item._cycles_done) / freq
@@ -465,10 +465,10 @@ class Scheduler:
     def _chunk_done(self, core: int, thread: SimThread, item: WorkItem,
                     elapsed: float, useful: float) -> None:
         self.machine.account_busy(core, elapsed)
-        self._f_useful.add(core, useful)
+        self._f_useful[core] += useful
         self._h_chunk.observe(elapsed)
         if item.query_name:
-            self._f_query_busy.add(item.query_name, elapsed)
+            self._f_query_busy[item.query_name] += elapsed
         self._running[core] = None
         self._load[core] -= 1
         if item.done:
@@ -580,7 +580,7 @@ class Scheduler:
             return False
         queue.remove(victim)
         self._load[busiest] -= 1
-        self._f_stolen.add(idlest, 1.0)
+        self._f_stolen[idlest] += 1.0
         self._note_migration(victim, busiest, idlest, stolen=True)
         victim.core = idlest
         self._queues[idlest].append(victim)
@@ -609,7 +609,7 @@ class Scheduler:
             return False
         queue.remove(victim)
         self._load[busiest] -= 1
-        self._f_stolen.add(idlest, 1.0)
+        self._f_stolen[idlest] += 1.0
         self._note_migration(victim, busiest, idlest, stolen=True)
         victim.core = idlest
         self._queues[idlest].append(victim)

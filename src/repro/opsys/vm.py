@@ -129,7 +129,7 @@ class VirtualMemory:
             if placed is not None:
                 placed.append((run, split))
         if faults:
-            self._f_minor.add(node, faults)
+            self._f_minor[node] += faults
         if self.numa_balancing:
             self._autonuma(pages, node)
         return faults

@@ -84,6 +84,20 @@ def delivered_total() -> int:
     return _DELIVERED_TOTAL
 
 
+def _rejected(what: str, value: float, fn: Callable[..., Any],
+              past: str) -> SimulationError:
+    """The error for an invalid ``delay`` or ``time`` of callback ``fn``.
+
+    ``past`` is the message for a value before now.  NaN gets its own:
+    it fails every comparison, so a NaN event would reach the far tier
+    and stall the horizon forever.
+    """
+    if value != value:
+        name = getattr(fn, "__qualname__", repr(fn))
+        return SimulationError(f"cannot schedule {name} at {what}={value}")
+    return SimulationError(past)
+
+
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
 
@@ -151,34 +165,19 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any],
                  *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
-        return self.schedule_at(self._now + delay, fn, *args)
+        if not delay >= 0:
+            raise _rejected("delay", delay, fn,
+                            f"cannot schedule {delay}s in the past")
+        return self._push(None, self._now + delay, fn, args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any],
                     *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
+        if not time >= self._now:
+            raise _rejected(
+                "time", time, fn,
                 f"cannot schedule at t={time} before now={self._now}")
-        self._seq += 1
-        event = Event(time, self._seq, fn, args)
-        self._enqueue(event)
-        self._live += 1
-        return event
-
-    def _enqueue(self, event: Event) -> None:
-        """Route one fresh-keyed event to its tier."""
-        time = event.time
-        if time <= self._horizon:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [event]
-                heappush(self._times, time)
-            else:
-                bucket.append(event)
-        else:
-            heappush(self._far, (time, event.seq, event))
+        return self._push(None, time, fn, args)
 
     def reschedule(self, event: Event, delay: float) -> Event:
         """Re-arm a *delivered or cancelled* event ``delay`` seconds out.
@@ -193,19 +192,43 @@ class Simulator:
         scheduled.  Always use the returned event for further
         cancel/reschedule calls.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
+        if not delay >= 0:
+            raise _rejected("delay", delay, event.fn,
+                            f"cannot schedule {delay}s in the past")
         if event.cancelled:
-            return self.schedule(delay, event.fn, *event.args)
+            return self._push(None, self._now + delay, event.fn,
+                              event.args)
         if not event.delivered:
             raise SimulationError(
                 "cannot reschedule an event that is still queued")
+        return self._push(event, self._now + delay, event.fn, event.args)
+
+    def _push(self, event: Event | None, time: float,
+              fn: Callable[..., Any], args: tuple[Any, ...]) -> Event:
+        """Key, route and count one validated event.
+
+        The one place an event enters the queue: ``event`` is a
+        delivered cell to re-arm, or ``None`` to allocate a fresh one.
+        It gets the next sequence number and lands in its near-tier
+        bucket or on the far heap.
+        """
         self._seq += 1
-        event.time = self._now + delay
-        event.seq = self._seq
-        event.cancelled = False
-        event.delivered = False
-        self._enqueue(event)
+        if event is None:
+            event = Event(time, self._seq, fn, args)
+        else:
+            event.time = time
+            event.seq = self._seq
+            event.cancelled = False
+            event.delivered = False
+        if time <= self._horizon:
+            bucket = self._buckets.get(time)
+            if bucket is None:
+                self._buckets[time] = [event]
+                heappush(self._times, time)
+            else:
+                bucket.append(event)
+        else:
+            heappush(self._far, (time, self._seq, event))
         self._live += 1
         return event
 

@@ -31,7 +31,7 @@ def _machine_state(machine):
         [(c.hits, c.misses, c.evictions) for c in machine.caches],
         [bank._free_at for bank in machine.banks],
         [link._free_at for link in machine.interconnect._links.values()],
-        [(name, dict(family.slots), list(family.values))
+        [(name, list(family.items()))
          for name, family in machine.counters._families.items()],
     )
 

@@ -270,7 +270,7 @@ def _state(machine: Machine, vm: VirtualMemory, threads) -> tuple:
         [bank._free_at for bank in machine.banks],
         [(key, link._free_at)
          for key, link in machine.interconnect._links.items()],
-        [(name, list(family.slots.items()), list(family.values))
+        [(name, list(family.items()))
          for name, family in machine.counters._families.items()],
         bytes(vm._mapped[:top]),
         list(memory._home[:top]),

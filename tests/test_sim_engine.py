@@ -93,6 +93,42 @@ def test_schedule_in_the_past_rejected():
         sim.schedule_at(0.5, lambda: None)
 
 
+def _tick():
+    pass
+
+
+def test_nan_delay_rejected_naming_value_and_callback():
+    # a NaN delay used to be queued on the far tier, turning the horizon
+    # into NaN so that run() spun forever, even under max_events
+    sim = Simulator()
+    with pytest.raises(SimulationError, match=r"_tick at delay=nan"):
+        sim.schedule(float("nan"), _tick)
+    assert sim.pending() == 0
+    assert sim.run(max_events=5) == 0
+
+
+def test_nan_time_rejected_naming_value_and_callback():
+    sim = Simulator()
+    sim.schedule(1.0, _tick)
+    sim.run_until_idle()
+    with pytest.raises(SimulationError, match=r"_tick at time=nan"):
+        sim.schedule_at(float("nan"), _tick)
+    assert sim.pending() == 0
+
+
+@pytest.mark.parametrize("cancel", [False, True])
+def test_nan_reschedule_rejected_naming_value_and_callback(cancel):
+    sim = Simulator()
+    event = sim.schedule(0.1, _tick)
+    if cancel:
+        sim.cancel(event)
+    sim.run_until_idle()
+    with pytest.raises(SimulationError, match=r"_tick at delay=nan"):
+        sim.reschedule(event, float("nan"))
+    assert sim.pending() == 0
+    assert sim.run(max_events=5) == 0
+
+
 def test_pending_counts_live_events():
     sim = Simulator()
     e1 = sim.schedule(0.1, lambda: None)
