@@ -116,8 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run.add_argument("--telemetry", metavar="DIR", default=None,
                      help="record telemetry and export it to DIR "
-                          "(metrics.prom, metrics.jsonl, trace.json, "
-                          "decisions.jsonl)")
+                          "(metrics.jsonl, trace.json, decisions.jsonl)")
     run.add_argument("--parallel", type=int, default=1, metavar="N",
                      help="fan independent experiment cells across N "
                           "worker processes (results are identical to "

@@ -58,6 +58,8 @@ class SharedCache:
         missed sub-runs in order.
         """
         runs = self._runs
+        capacity = self.capacity_pages
+        size = self._size
         missed: list[range] = []
         hits = 0
         pos = lo
@@ -79,46 +81,41 @@ class SharedCache:
                     missed[-1] = range(missed[-1].start, nxt)
                 else:
                     missed.append(range(pos, nxt))
-                self._append(pos, nxt)
-                pos = nxt
-                continue
-            run = runs[at]
-            end = run.stop if run.stop < hi else hi
-            pieces = []
-            if run.start < pos:
-                pieces.append(range(run.start, pos))
-            if end < run.stop:
-                pieces.append(range(end, run.stop))
-            runs[at:at + 1] = pieces
-            self._size -= end - pos
-            self._append(pos, end)
-            hits += end - pos
+                end = nxt
+            else:
+                run = runs[at]
+                end = run.stop if run.stop < hi else hi
+                pieces = []
+                if run.start < pos:
+                    pieces.append(range(run.start, pos))
+                if end < run.stop:
+                    pieces.append(range(end, run.stop))
+                runs[at:at + 1] = pieces
+                size -= end - pos
+                hits += end - pos
+            # pages ``pos .. end - 1`` are absent now: insert them as the
+            # hottest and evict the coldest pages beyond capacity
+            if runs and runs[-1].stop == pos:
+                runs[-1] = range(runs[-1].start, end)
+            else:
+                runs.append(range(pos, end))
+            size += end - pos
+            over = size - capacity
+            if over > 0:
+                size = capacity
+                self.evictions += over
+                k = 0
+                while over >= len(runs[k]):
+                    over -= len(runs[k])
+                    k += 1
+                del runs[:k]
+                if over:
+                    runs[0] = runs[0][over:]
             pos = end
+        self._size = size
         self.hits += hits
         self.misses += hi - lo - hits
         return missed
-
-    def _append(self, lo: int, hi: int) -> None:
-        """Insert absent pages ``lo .. hi - 1`` as the hottest, evicting
-        the coldest pages beyond capacity."""
-        runs = self._runs
-        if runs and runs[-1].stop == lo:
-            runs[-1] = range(runs[-1].start, hi)
-        else:
-            runs.append(range(lo, hi))
-        over = self._size + hi - lo - self.capacity_pages
-        if over <= 0:
-            self._size += hi - lo
-            return
-        self._size = self.capacity_pages
-        self.evictions += over
-        k = 0
-        while over >= len(runs[k]):
-            over -= len(runs[k])
-            k += 1
-        del runs[:k]
-        if over:
-            runs[0] = runs[0][over:]
 
     def access(self, page: int) -> bool:
         """Touch one page.  Returns ``True`` on hit, ``False`` on miss.

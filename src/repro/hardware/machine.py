@@ -12,6 +12,7 @@ splits and validates the footprint itself.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -104,6 +105,11 @@ class Machine:
         # is idle when a run's first page leaves the bank, finishes each
         # page one link service after the bank does
         self._link_after_bank = link_service <= self._bank_service
+        # the touch entry points check the core range themselves (a bare
+        # list index would wrap a negative core id)
+        self._n_cores = topology.n_cores
+        self._node_of = [topology.node_of_core(c)
+                         for c in topology.all_cores()]
         # family handles, written in place with ``family[i] += n``
         # (handles survive CounterBank.reset)
         self._f_imc = self.counters.family("imc_bytes")
@@ -137,7 +143,9 @@ class Machine:
         and links overlap (the batch stalls until the *last* completion),
         while the requester-side line-latency term accumulates per page.
         """
-        socket = self.topology.node_of_core(core_id)
+        if not 0 <= core_id < self._n_cores:
+            raise HardwareError(f"core {core_id} out of range")
+        socket = self._node_of[core_id]
         if placed is None:
             placed = self._placed_runs(pages, core_id, socket)
         return self._stream(now, socket, placed, len(pages))
@@ -149,7 +157,9 @@ class Machine:
         traffic the paper's introduction blames on threads "sharing the
         same cache memory" being split across nodes).  Invalidations are
         counted per victim socket as ``l3_invalidations``."""
-        socket = self.topology.node_of_core(core_id)
+        if not 0 <= core_id < self._n_cores:
+            raise HardwareError(f"core {core_id} out of range")
+        socket = self._node_of[core_id]
         if placed is None:
             placed = self._placed_runs(pages, core_id, socket)
         runs = None
@@ -211,7 +221,10 @@ class Machine:
         remote_paths = self._remote_paths
         bank_service = self._bank_service
         link_service = self._link_service
+        link_after_bank = self._link_after_bank
         latency_per_page = self._latency_per_page
+        f_imc = self._f_imc
+        f_ht_tx = self._f_ht_tx
 
         latency_stall = 0.0
         batch_done = now
@@ -219,7 +232,6 @@ class Machine:
         remote_misses = 0
         bytes_local = 0
         bytes_remote = 0
-        imc_pages: dict[int, int] = {}
         for run, split in placed:
             for missed in cache.resolve(run.start, run.stop):
                 a, b = missed.start, missed.stop
@@ -230,7 +242,9 @@ class Machine:
                     if lo >= b:
                         break
                     n = (hi if hi < b else b) - (lo if lo > a else a)
-                    imc_pages[home] = imc_pages.get(home, 0) + n
+                    # integer byte counts: per-piece float sums are exact
+                    nbytes = n * page_bytes
+                    f_imc[home] += nbytes
                     bank = banks[home]
                     free = bank._free_at
                     first = last = ((now if now > free else free)
@@ -245,13 +259,16 @@ class Machine:
                     latency_stall += latency
                     bank._free_at = last
                     if home == socket:
-                        bytes_local += n * page_bytes
+                        bytes_local += nbytes
                         done = last
                     else:
-                        bytes_remote += n * page_bytes
+                        # outbound link traffic, attributed to the sending
+                        # node exactly as Interconnect.transfer does
+                        f_ht_tx[home] += nbytes
+                        bytes_remote += nbytes
                         remote_misses += n
                         done = link._free_at
-                        if self._link_after_bank and done <= first:
+                        if link_after_bank and done <= first:
                             # the bank chain paces the link throughout
                             done = last + link_service
                         else:
@@ -269,24 +286,26 @@ class Machine:
                     if done > batch_done:
                         batch_done = done
 
-        for home, n in imc_pages.items():
-            self._f_imc[home] += n * page_bytes
-            if home != socket:
-                # outbound link traffic, attributed to the sending node
-                # exactly as Interconnect.transfer does
-                self._f_ht_tx[home] += n * page_bytes
         hits = n_pages - misses
         self._f_l3_hit[socket] += hits
         self._f_l3_miss[socket] += misses
-        # built positionally: half the cost of the keyword form
-        return AccessResult((batch_done - now) + latency_stall, hits,
-                            misses, remote_misses, bytes_local,
-                            bytes_remote)
+        # tuple.__new__ skips the generated NamedTuple constructor
+        return tuple.__new__(AccessResult, (
+            (batch_done - now) + latency_stall, hits, misses,
+            remote_misses, bytes_local, bytes_remote))
 
     def account_busy(self, core_id: int, seconds: float) -> None:
-        """Record core busy time (the mpstat source)."""
-        if seconds < 0:
-            raise HardwareError("busy time cannot be negative")
+        """Record core busy time (the mpstat source).
+
+        A core outside the machine, or a negative, infinite or NaN
+        duration, raises before the counter changes."""
+        if not 0 <= core_id < self._n_cores:
+            raise HardwareError(
+                f"core {core_id} out of range (busy time {seconds!r})")
+        if not 0.0 <= seconds < math.inf:
+            raise HardwareError(
+                f"busy time {seconds!r} on core {core_id} must be finite "
+                f"and non-negative")
         self._f_busy[core_id] += seconds
 
     def flush_caches(self) -> None:

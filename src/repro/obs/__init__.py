@@ -13,8 +13,8 @@ reproduction the matching introspection:
 * :mod:`repro.obs.provenance` — the decision log behind
   ``repro explain``: every allocation/release with its monitor sample,
   matched guard, threshold comparison and node-choice justification;
-* :mod:`repro.obs.export` — Prometheus text, JSONL, Chrome trace and
-  the ``repro stats`` summary table;
+* :mod:`repro.obs.export` — metrics JSONL, Chrome trace and the
+  ``repro stats`` summary table;
 * :mod:`repro.obs.recorder` — the :class:`Recorder` facade and its
   :class:`NullRecorder` twin whose no-op fast path keeps disabled
   telemetry within noise of an uninstrumented run (see
@@ -27,11 +27,9 @@ See ``docs/observability.md`` for the metric catalogue, span taxonomy
 and the health table.
 """
 
-from .export import (DECISIONS_JSONL, METRICS_JSONL, METRICS_PROM,
-                     TRACE_JSON, dump_chrome_trace, dump_metrics_jsonl,
-                     escape_label_value, export_run, load_metrics_jsonl,
-                     metric_tenant, render_family, render_prometheus,
-                     stats_table)
+from .export import (DECISIONS_JSONL, METRICS_JSONL, TRACE_JSON,
+                     dump_chrome_trace, dump_metrics_jsonl, export_run,
+                     load_metrics_jsonl, metric_tenant, stats_table)
 from .health import (HealthConfig, HealthSuite, TenantHealth,
                      analyze_decisions)
 from .metrics import (HOST_TIME_BUCKETS, TIME_BUCKETS, VALUE_BUCKETS,
@@ -58,10 +56,9 @@ __all__ = [
     "Decision", "DecisionLog", "NullDecisionLog", "explain_decision",
     "dump_decisions", "load_decisions",
     # exporters
-    "render_prometheus", "render_family", "escape_label_value",
     "dump_metrics_jsonl", "load_metrics_jsonl",
     "dump_chrome_trace", "export_run", "stats_table", "metric_tenant",
-    "METRICS_PROM", "METRICS_JSONL", "TRACE_JSON", "DECISIONS_JSONL",
+    "METRICS_JSONL", "TRACE_JSON", "DECISIONS_JSONL",
     # health analyzers
     "HealthConfig", "HealthSuite", "TenantHealth", "analyze_decisions",
 ]

@@ -1,9 +1,7 @@
-"""Telemetry exporters: Prometheus text, JSONL, Chrome trace, stats table.
+"""Telemetry exporters: JSONL, Chrome trace, stats table.
 
-One recorded run leaves the process in four shapes:
+One recorded run leaves the process in three shapes:
 
-* ``metrics.prom`` — Prometheus text exposition format (scrapeable /
-  diffable snapshots);
 * ``metrics.jsonl`` — one JSON object per instrument, for programmatic
   post-processing;
 * ``trace.json`` — Chrome ``trace_event`` JSON; load it in Perfetto or
@@ -12,7 +10,7 @@ One recorded run leaves the process in four shapes:
 * ``decisions.jsonl`` — the decision-provenance log ``repro explain``
   reads back.
 
-:func:`export_run` writes all four; ``repro run --telemetry DIR`` is its
+:func:`export_run` writes all three; ``repro run --telemetry DIR`` is its
 CLI face.
 """
 
@@ -23,113 +21,13 @@ import pathlib
 
 from ..analysis.report import render_table
 from ..errors import ReproError
-from .metrics import Counter, Gauge, Histogram
 from .provenance import dump_decisions
 from .spans import chrome_trace_events
 
 #: canonical file names inside a telemetry directory
-METRICS_PROM = "metrics.prom"
 METRICS_JSONL = "metrics.jsonl"
 TRACE_JSON = "trace.json"
 DECISIONS_JSONL = "decisions.jsonl"
-
-
-def prometheus_name(name: str) -> str:
-    """``controller.ticks`` -> ``repro_controller_ticks``."""
-    return "repro_" + name.replace(".", "_")
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the text exposition format.
-
-    Backslash, double-quote and newline are the three characters the
-    format reserves inside quoted label values.
-    """
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def format_labels(labels: dict) -> str:
-    """``{"le": "0.1"}`` -> ``{le="0.1"}`` (empty dict -> '')."""
-    if not labels:
-        return ""
-    inner = ",".join(f'{key}="{escape_label_value(value)}"'
-                     for key, value in labels.items())
-    return "{" + inner + "}"
-
-
-def render_family(name: str, kind: str, help_text: str,
-                  samples) -> list[str]:
-    """One metric family: ``# HELP``/``# TYPE`` once, then samples.
-
-    ``samples`` are ``(suffix, labels, value)`` triples — the labeled
-    children of the family (histogram buckets, per-tenant gauges, ...).
-    """
-    lines = [f"# HELP {name} {escape_help(help_text)}",
-             f"# TYPE {name} {kind}"]
-    for suffix, labels, value in samples:
-        rendered = value if isinstance(value, int) else f"{value:g}"
-        lines.append(f"{name}{suffix}{format_labels(labels)} {rendered}")
-    return lines
-
-
-def escape_help(text: str) -> str:
-    """Escape a ``# HELP`` string (backslash and newline only)."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _instrument_samples(instrument) -> tuple[str, list]:
-    """(kind, samples) of one instrument, for :func:`render_family`."""
-    if isinstance(instrument, Counter):
-        return "counter", [("", {}, instrument.value)]
-    if isinstance(instrument, Gauge):
-        return "gauge", [("", {}, instrument.value)]
-    if isinstance(instrument, Histogram):
-        samples = []
-        cumulative = 0
-        for edge, count in zip(instrument.boundaries,
-                               instrument.bucket_counts):
-            cumulative += count
-            samples.append(("_bucket", {"le": f"{edge:g}"}, cumulative))
-        # the +Inf bucket is the total count by definition — it also
-        # covers the implicit overflow bucket above the last edge
-        samples.append(("_bucket", {"le": "+Inf"}, instrument.count))
-        samples.append(("_sum", {}, instrument.total))
-        samples.append(("_count", {}, instrument.count))
-        return "histogram", samples
-    raise ReproError(f"cannot render instrument {instrument!r}")
-
-
-def render_prometheus(metrics) -> str:
-    """Render a registry in the Prometheus text exposition format.
-
-    ``# HELP`` and ``# TYPE`` are emitted once per *family* even when
-    several dotted instrument names collapse onto one Prometheus name
-    (``a.b_c`` and ``a.b.c`` both map to ``repro_a_b_c``); colliding
-    instruments of different kinds are an error, not silent corruption.
-    """
-    order: list[str] = []
-    kinds: dict[str, str] = {}
-    helps: dict[str, str] = {}
-    samples: dict[str, list] = {}
-    for instrument in metrics.all():
-        pname = prometheus_name(instrument.name)
-        kind, instrument_samples = _instrument_samples(instrument)
-        if pname not in kinds:
-            order.append(pname)
-            kinds[pname] = kind
-            helps[pname] = f"repro metric {instrument.name}"
-            samples[pname] = []
-        elif kinds[pname] != kind:
-            raise ReproError(
-                f"metric family {pname} rendered as both "
-                f"{kinds[pname]} and {kind}")
-        samples[pname].extend(instrument_samples)
-    lines: list[str] = []
-    for pname in order:
-        lines.extend(render_family(pname, kinds[pname], helps[pname],
-                                   samples[pname]))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def dump_metrics_jsonl(metrics, path) -> int:
@@ -189,19 +87,15 @@ def dump_chrome_trace(spans, path) -> int:
 def export_run(recorder, directory) -> dict[str, pathlib.Path]:
     """Write every export format for one recorded run.
 
-    Returns ``{"prometheus": ..., "metrics": ..., "trace": ...,
-    "decisions": ...}`` paths.  The directory is created if needed.
+    Returns ``{"metrics": ..., "trace": ..., "decisions": ...}`` paths.  The directory is created if needed.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {
-        "prometheus": directory / METRICS_PROM,
         "metrics": directory / METRICS_JSONL,
         "trace": directory / TRACE_JSON,
         "decisions": directory / DECISIONS_JSONL,
     }
-    paths["prometheus"].write_text(render_prometheus(recorder.metrics),
-                                   encoding="utf-8")
     dump_metrics_jsonl(recorder.metrics, paths["metrics"])
     dump_chrome_trace(recorder.spans, paths["trace"])
     dump_decisions(recorder.decisions.all(), paths["decisions"])

@@ -15,7 +15,7 @@ Two design rules keep the hot paths cheap:
   (asserted by ``benchmarks/test_obs_overhead.py``).
 
 Histogram buckets are *fixed at creation* (no dynamic resizing), which
-makes snapshots mergeable across runs and the Prometheus rendering exact.
+makes snapshots mergeable across runs.
 """
 
 from __future__ import annotations

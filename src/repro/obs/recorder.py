@@ -12,7 +12,7 @@ you cannot thread it through (the CLI's ``--telemetry`` flag does this)::
 
     with recording(Recorder()) as rec:
         fig07_state_transitions.run(...)
-    print(render_prometheus(rec.metrics))
+    print(stats_table(rec.metrics))
 
 The host clock lives *here*, outside the determinism-critical zones:
 ``core``/``sim``/``opsys`` components never import ``time`` themselves,

@@ -101,6 +101,7 @@ class Scheduler:
         self._f_tasks = counters.family("tasks")
         self._f_stolen = counters.family("stolen_tasks")
         self._f_useful = counters.family("useful_time")
+        self._f_busy = counters.family("busy_time")
         self._f_query_busy = counters.family("query_busy_time")
         self._f_query_ht = counters.family("query_ht_bytes")
         self._f_query_imc = counters.family("query_imc_bytes")
@@ -334,20 +335,21 @@ class Scheduler:
         if self._last_ran[core] is not thread:
             self._last_ran[core] = thread
             thread.pending_stall += self.config.context_switch_cost
+        now = self.sim.now
         if item.started_at is None:
-            item.started_at = self.sim.now
+            item.started_at = now
         if thread._last_placed_core != core:
             thread._last_placed_core = core
             self.tracer.emit(PlacementRecord(
-                time=self.sim.now, thread_id=thread.tid, core_id=core,
+                time=now, thread_id=thread.tid, core_id=core,
                 node_id=self._node_of[core]))
-        elapsed, useful = self._execute(thread, item, core)
+        elapsed, useful = self._execute(thread, item, core, now)
         self.sim.schedule(elapsed, self._chunk_done, core, thread, item,
                           elapsed, useful)
 
-    def _execute(self, thread: SimThread, item: WorkItem,
-                 core: int) -> tuple[float, float]:
-        """Run up to one quantum of ``item`` on ``core``.
+    def _execute(self, thread: SimThread, item: WorkItem, core: int,
+                 now: float) -> tuple[float, float]:
+        """Run up to one quantum of ``item`` on ``core`` from time ``now``.
 
         Returns ``(elapsed, useful)`` — wall seconds consumed and the
         retired-compute share of them (memory stalls excluded).  The
@@ -365,7 +367,6 @@ class Scheduler:
         # the VM's placement split stays valid for the machine call
         # unless AutoNUMA may migrate pages in between
         hand_split = not self.vm.numa_balancing
-        now = self.sim.now
         elapsed = thread.pending_stall
         useful = 0.0
         thread.pending_stall = 0.0
@@ -464,19 +465,24 @@ class Scheduler:
 
     def _chunk_done(self, core: int, thread: SimThread, item: WorkItem,
                     elapsed: float, useful: float) -> None:
-        self.machine.account_busy(core, elapsed)
+        # _execute returns at least 1e-9 and Simulator.schedule rejects
+        # a NaN, so the busy time needs none of account_busy's checks
+        self._f_busy[core] += elapsed
         self._f_useful[core] += useful
         self._h_chunk.observe(elapsed)
         if item.query_name:
             self._f_query_busy[item.query_name] += elapsed
         self._running[core] = None
         self._load[core] -= 1
-        if item.done:
+        # WorkItem.done, read off the slots
+        if (item._total_pages - item._read_pos - item._write_pos == 0
+                and item._total_cycles - item._cycles_done <= 1e-6):
             thread.current_item = None
             if item.started_at is not None:
-                stage_elapsed = self.sim.now - item.started_at
+                now = self.sim.now
+                stage_elapsed = now - item.started_at
                 self.tracer.emit(StageRecord(
-                    time=self.sim.now, thread_id=thread.tid,
+                    time=now, thread_id=thread.tid,
                     query_name=item.query_name, operator=item.label,
                     start_time=item.started_at,
                     elapsed=stage_elapsed, core_id=core))
@@ -554,25 +560,33 @@ class Scheduler:
                             if node_of[c] == node]
                 if len(siblings) > 1:
                     for _ in range(len(siblings)):
-                        if not self._steal_within_node(node, siblings):
+                        if not self._steal_once(siblings,
+                                                within_node=True):
                             break
         self._ensure_balancer()
 
-    def _steal_within_node(self, node: int,
-                           siblings: list[int]) -> bool:
-        donors = [c for c in siblings
-                  if any(t.pinned_core is None for t in self._queues[c])]
+    def _steal_once(self, cores, within_node: bool = False) -> bool:
+        """Move one waiting thread from the busiest to the idlest of
+        ``cores`` when their loads differ by the imbalance threshold.
+        Core-pinned threads never move; node-affined threads move only
+        in a pass over one node's cores (``within_node``)."""
+        queues = self._queues
+        donors = [c for c in cores
+                  if any(t.pinned_core is None
+                         and (within_node or t.pinned_node is None)
+                         for t in queues[c])]
         if not donors:
             return False
         busiest = max(donors, key=lambda c: (self.core_load(c), -c))
-        idlest = min(siblings, key=lambda c: (self.core_load(c), c))
+        idlest = min(cores, key=lambda c: (self.core_load(c), c))
         gap = self.core_load(busiest) - self.core_load(idlest)
         if busiest == idlest or gap < self.config.imbalance_threshold:
             return False
-        queue = self._queues[busiest]
+        queue = queues[busiest]
         victim = None
         for candidate in reversed(queue):
             if (candidate.pinned_core is None
+                    and (within_node or candidate.pinned_node is None)
                     and self._may_run_on(candidate, idlest)):
                 victim = candidate
                 break
@@ -583,36 +597,7 @@ class Scheduler:
         self._f_stolen[idlest] += 1.0
         self._note_migration(victim, busiest, idlest, stolen=True)
         victim.core = idlest
-        self._queues[idlest].append(victim)
-        self._load[idlest] += 1
-        self._dispatch(idlest)
-        return True
-
-    def _steal_once(self, allowed) -> bool:
-        donors = [c for c in allowed
-                  if any(not t.is_pinned() for t in self._queues[c])]
-        if not donors:
-            return False
-        busiest = max(donors, key=lambda c: (self.core_load(c), -c))
-        idlest = min(allowed, key=lambda c: (self.core_load(c), c))
-        gap = self.core_load(busiest) - self.core_load(idlest)
-        if busiest == idlest or gap < self.config.imbalance_threshold:
-            return False
-        queue = self._queues[busiest]
-        victim = None
-        for candidate in reversed(queue):
-            if (not candidate.is_pinned()
-                    and self._may_run_on(candidate, idlest)):
-                victim = candidate
-                break
-        if victim is None:
-            return False
-        queue.remove(victim)
-        self._load[busiest] -= 1
-        self._f_stolen[idlest] += 1.0
-        self._note_migration(victim, busiest, idlest, stolen=True)
-        victim.core = idlest
-        self._queues[idlest].append(victim)
+        queues[idlest].append(victim)
         self._load[idlest] += 1
         self._dispatch(idlest)
         return True

@@ -106,11 +106,6 @@ class SimThread:
         self.current_item = self.source.next_item(self)
         return self.current_item
 
-    def is_pinned(self) -> bool:
-        """Whether the thread carries any affinity (core- or node-level);
-        pinned threads are never moved by the load balancer."""
-        return self.pinned_core is not None or self.pinned_node is not None
-
     def require_state(self, *allowed: ThreadState) -> None:
         """Assert the thread is in one of ``allowed`` states."""
         if self.state not in allowed:

@@ -34,6 +34,13 @@ from ..hardware.memory import UNPLACED, home_run
 from ..pages import page_runs
 from .thread import SimThread
 
+#: byte-translation tables per node id (the bitmask holds eight nodes):
+#: ``_SEEN[n]`` maps a bitmask byte to 1 when node ``n``'s bit is set, so
+#: translate+count counts already-mapped pages in C; ``_SET[n]`` maps it
+#: to the same byte with node ``n``'s bit ored in
+_SEEN = tuple(bytes(b >> n & 1 for b in range(256)) for n in range(8))
+_SET = tuple(bytes(b | 1 << n for b in range(256)) for n in range(8))
+
 
 class VirtualMemory:
     """First-touch policy and fault counters on top of the machine.
@@ -46,7 +53,13 @@ class VirtualMemory:
 
     def __init__(self, machine: Machine, numa_balancing: bool = False,
                  migration_streak: int = 3):
+        n_nodes = machine.topology.n_sockets
+        if n_nodes > len(_SEEN):
+            raise HardwareError(
+                f"{n_nodes} nodes exceed the mapping bitmask's "
+                f"{len(_SEEN)}")
         self.machine = machine
+        self._n_nodes = n_nodes
         self.counters = machine.counters
         self._f_minor = machine.counters.family("minor_faults")
         self.numa_balancing = numa_balancing
@@ -54,12 +67,6 @@ class VirtualMemory:
         # page -> bitmask of nodes that have already mapped it, dense
         # by page id (grown on demand to cover the allocated space)
         self._mapped = bytearray(1024)
-        # per-node byte-translation tables, built lazily: _seen_tables
-        # maps a bitmask byte to 1 when the node's bit is set (so
-        # translate+count counts already-mapped pages in C), _set_tables
-        # maps it to the same byte with the node's bit ored in
-        self._seen_tables: dict[int, bytes] = {}
-        self._set_tables: dict[int, bytes] = {}
         # AutoNUMA bookkeeping: page -> (last remote accessor, streak)
         self._remote_streak: dict[int, tuple[int, int]] = {}
 
@@ -72,16 +79,6 @@ class VirtualMemory:
                 capacity *= 2
             mapped.extend(bytes(capacity - len(mapped)))
         return mapped
-
-    def _tables(self, node: int) -> tuple[bytes, bytes]:
-        """The (seen-probe, bit-set) translation tables for ``node``."""
-        seen = self._seen_tables.get(node)
-        if seen is None:
-            mask = 1 << node
-            seen = bytes(1 if b & mask else 0 for b in range(256))
-            self._seen_tables[node] = seen
-            self._set_tables[node] = bytes(b | mask for b in range(256))
-        return seen, self._set_tables[node]
 
     def touch_pages(self, pages: Sequence[int], node: int,
                     thread: SimThread | None = None, *,
@@ -103,10 +100,24 @@ class VirtualMemory:
         """
         memory = self.machine.memory
         runs = page_runs(pages)
-        self._check(runs, len(pages), node, memory)
-        seen_tbl, set_tbl = self._tables(node)
+        per_node = memory._pages_per_node
+        # the common case passes three cheap tests; _check repeats them
+        # to name the fault or to count the fresh pages exactly
+        ok = (0 <= node < self._n_nodes
+              and per_node[node] + len(pages) <= memory.bank_pages)
+        if ok:
+            next_page = memory._next_page
+            for run in runs:
+                if run.start < 0 or run.stop > next_page:
+                    ok = False
+                    break
+        if not ok:
+            self._check(runs, len(pages), node, memory)
+        seen_tbl = _SEEN[node]
+        set_tbl = _SET[node]
         home_arr = memory._home
         mapped = self._mapped
+        by_node = thread.pages_by_node if thread is not None else None
         faults = 0
         for run in runs:
             if run.stop > len(mapped):
@@ -116,7 +127,7 @@ class VirtualMemory:
                 n = hi - lo
                 if home == UNPLACED:
                     home_arr[lo:hi] = home_run(node, n)
-                    memory._pages_per_node[node] += n
+                    per_node[node] += n
                     home = node
                     split[i] = (lo, hi, node)
                 segment = bytes(mapped[lo:hi])
@@ -124,8 +135,9 @@ class VirtualMemory:
                 if missing:
                     mapped[lo:hi] = segment.translate(set_tbl)
                     faults += missing
-                if thread is not None:
-                    thread.note_pages(home, n)
+                if by_node is not None:
+                    # SimThread.note_pages, inlined
+                    by_node[home] = by_node.get(home, 0) + n
             if placed is not None:
                 placed.append((run, split))
         if faults:
@@ -137,7 +149,7 @@ class VirtualMemory:
     def _check(self, runs: list[range], n_pages: int, node: int,
                memory) -> None:
         """Reject a touch that would fail part-way through."""
-        if not 0 <= node < self.machine.topology.n_sockets:
+        if not 0 <= node < self._n_nodes:
             raise HardwareError(f"node {node} out of range")
         next_page = memory._next_page
         for run in runs:

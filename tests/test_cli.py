@@ -81,8 +81,7 @@ def telemetry_dir(tmp_path_factory):
 
 
 def test_run_telemetry_exports_all_formats(telemetry_dir):
-    for name in ("metrics.prom", "metrics.jsonl", "trace.json",
-                 "decisions.jsonl"):
+    for name in ("metrics.jsonl", "trace.json", "decisions.jsonl"):
         assert (telemetry_dir / name).exists()
     document = json.loads((telemetry_dir / "trace.json").read_text())
     assert document["traceEvents"]

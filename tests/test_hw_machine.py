@@ -156,6 +156,42 @@ def test_account_busy_rejects_negative(machine):
         machine.account_busy(0, -1.0)
 
 
+@pytest.mark.parametrize("core, seconds", [
+    (0, float("nan")), (0, float("inf")), (1, float("-inf")),
+    (99, 1.0), (-3, 2.0), (4, 0.5),
+])
+def test_account_busy_rejects_bad_core_or_duration(machine, core, seconds):
+    machine.account_busy(0, 0.25)
+    before = _machine_state(machine)
+    with pytest.raises(HardwareError) as excinfo:
+        machine.account_busy(core, seconds)
+    message = str(excinfo.value)
+    assert f"core {core}" in message and repr(seconds) in message
+    assert _machine_state(machine) == before
+    assert machine.counters.total("busy_time") == 0.25
+
+
+@pytest.mark.parametrize("write", [False, True])
+@pytest.mark.parametrize("hand_split", [False, True])
+@pytest.mark.parametrize("core", [-1, 4])
+def test_touch_out_of_range_core_leaves_state_unchanged(machine, write,
+                                                        hand_split, core):
+    assert core in (-1, machine.topology.n_cores)
+    local = _place(machine, 4, node=0)
+    remote = _place(machine, 4, node=1)
+    # warm both sockets' caches, queue bank and link work, count
+    machine.touch(0.0, 0, local + remote)
+    machine.touch_write(0.0, 2, local[:2])
+    before = _machine_state(machine)
+    pages = range(local[0], remote[-1] + 1)
+    placed = ([(pages, machine.memory.home_runs(pages.start, pages.stop))]
+              if hand_split else None)
+    touch = machine.touch_write if write else machine.touch
+    with pytest.raises(HardwareError, match=f"core {core} out of range"):
+        touch(1e-3, core, pages, placed=placed)
+    assert _machine_state(machine) == before
+
+
 def test_compute_time_uses_frequency(machine):
     t = machine.compute_time(machine.config.frequency_hz)
     assert t == pytest.approx(1.0)

@@ -1,4 +1,4 @@
-"""Telemetry exporters: Prometheus, JSONL, Chrome trace, stats table."""
+"""Telemetry exporters: JSONL, Chrome trace, stats table."""
 
 import json
 
@@ -6,10 +6,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs import (Recorder, dump_chrome_trace, dump_metrics_jsonl,
-                       export_run, load_metrics_jsonl,
-                       render_prometheus, stats_table)
-from repro.obs.export import (escape_label_value, format_labels,
-                              prometheus_name, render_family)
+                       export_run, load_metrics_jsonl, stats_table)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 
@@ -22,83 +19,6 @@ def loaded_registry() -> MetricsRegistry:
     for v in (0.05, 0.5, 5.0, 50.0):
         h.observe(v)
     return reg
-
-
-class TestPrometheus:
-    def test_name_mangling(self):
-        assert prometheus_name("controller.ticks") == \
-            "repro_controller_ticks"
-
-    def test_counter_and_gauge_lines(self):
-        text = render_prometheus(loaded_registry())
-        assert "# TYPE repro_controller_ticks counter" in text
-        assert "repro_controller_ticks 3" in text
-        assert "# TYPE repro_cpuset_allowed_cores gauge" in text
-        assert "repro_cpuset_allowed_cores 4" in text
-
-    def test_histogram_buckets_are_cumulative(self):
-        text = render_prometheus(loaded_registry())
-        assert 'repro_db_query_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_db_query_seconds_bucket{le="1"} 2' in text
-        assert 'repro_db_query_seconds_bucket{le="10"} 3' in text
-        assert 'repro_db_query_seconds_bucket{le="+Inf"} 4' in text
-        assert "repro_db_query_seconds_sum 55.55" in text
-        assert "repro_db_query_seconds_count 4" in text
-
-    def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
-
-    def test_help_and_type_once_per_family(self):
-        text = render_prometheus(loaded_registry())
-        for family in ("repro_controller_ticks",
-                       "repro_cpuset_allowed_cores",
-                       "repro_db_query_seconds"):
-            assert text.count(f"# HELP {family} ") == 1
-            assert text.count(f"# TYPE {family} ") == 1
-
-    def test_colliding_names_of_one_kind_merge_into_one_family(self):
-        reg = MetricsRegistry()
-        reg.counter("a.b_c").inc(1)
-        reg.counter("a.b.c").inc(2)
-        text = render_prometheus(reg)
-        assert text.count("# TYPE repro_a_b_c counter") == 1
-        samples = [line for line in text.splitlines()
-                   if not line.startswith("#")]
-        assert sorted(samples) == ["repro_a_b_c 1", "repro_a_b_c 2"]
-
-    def test_colliding_names_of_different_kinds_are_an_error(self):
-        reg = MetricsRegistry()
-        reg.counter("a.b_c").inc(1)
-        reg.gauge("a.b.c").set(2)
-        with pytest.raises(ReproError, match="both"):
-            render_prometheus(reg)
-
-
-class TestExpositionEscaping:
-    def test_label_values_escape_reserved_characters(self):
-        assert escape_label_value('a"b') == 'a\\"b'
-        assert escape_label_value("a\\b") == "a\\\\b"
-        assert escape_label_value("a\nb") == "a\\nb"
-        assert escape_label_value("plain") == "plain"
-
-    def test_format_labels(self):
-        assert format_labels({}) == ""
-        assert format_labels({"le": "0.1"}) == '{le="0.1"}'
-        assert format_labels({"tenant": 'o"ltp'}) == \
-            '{tenant="o\\"ltp"}'
-
-    def test_render_family_escapes_labels_and_help(self):
-        lines = render_family(
-            "repro_x", "gauge", "help with\nnewline",
-            [("", {"tenant": 'a"b\\c'}, 1.5)])
-        assert lines[0] == "# HELP repro_x help with\\nnewline"
-        assert lines[1] == "# TYPE repro_x gauge"
-        assert lines[2] == 'repro_x{tenant="a\\"b\\\\c"} 1.5'
-
-    def test_render_family_integer_samples_stay_integers(self):
-        lines = render_family("repro_x", "counter", "h",
-                              [("_total", {}, 7)])
-        assert lines[2] == "repro_x_total 7"
 
 
 class TestMetricsJsonl:
@@ -140,13 +60,13 @@ class TestExportRun:
         rec.metrics.counter("controller.ticks").inc()
         rec.spans.add_complete("q", 0.0, 1.0)
         paths = export_run(rec, tmp_path / "out")
-        assert set(paths) == {"prometheus", "metrics", "trace",
-                              "decisions"}
+        assert set(paths) == {"metrics", "trace", "decisions"}
         for path in paths.values():
             assert path.exists()
         assert json.loads(paths["trace"].read_text())["traceEvents"]
-        assert "repro_controller_ticks" in \
-            paths["prometheus"].read_text()
+        assert [entry["name"] for entry
+                in load_metrics_jsonl(paths["metrics"])] == \
+            ["controller.ticks"]
 
 
 class TestStatsTable:

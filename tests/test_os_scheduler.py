@@ -214,6 +214,33 @@ class TestLoadBalancing:
         os_.run_until_idle()
         assert os_.counters.total("stolen_tasks") > 0
 
+    def test_balancer_moves_node_affined_threads_only_within_node(self):
+        # small_numa: cores 0-1 on node 0, cores 2-3 on node 1
+        os_ = make_os(balance_interval=10.0)
+        sched = os_.scheduler
+
+        def queue_on_core_0(pinned_node):
+            thread = SimThread(ListWorkSource([scan_item(os_, node=0)]),
+                               pinned_node=pinned_node)
+            thread.state = ThreadState.READY
+            sched._live_threads += 1
+            sched.threads.add(thread)
+            thread.core = 0
+            sched._queues[0].append(thread)
+            sched._load[0] += 1
+            return thread
+
+        # affined threads at the back, where the balancer looks first
+        free = [queue_on_core_0(pinned_node=None) for _ in range(4)]
+        affined = [queue_on_core_0(pinned_node=0) for _ in range(4)]
+        sched._balance()
+        # the machine-wide pass moves only the unaffined threads (all
+        # four leave core 0); the node pass then evens node 0 with one
+        # affined thread
+        assert sorted(t.core for t in free) == [1, 1, 2, 3]
+        assert sorted(t.core for t in affined) == [0, 0, 0, 1]
+        assert os_.counters.total("stolen_tasks") == 5
+
     def test_pinned_threads_never_stolen_cross_node(self):
         os_ = make_os(balance_interval=0.001)
         pinned = [os_.spawn_thread(

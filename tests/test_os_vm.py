@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import MachineConfig
 from repro.errors import HardwareError
 from repro.hardware.machine import Machine
 from repro.hardware.prebuilt import small_numa
@@ -56,6 +57,21 @@ def test_touch_pages_rejects_bad_node_before_mapping(vm):
     with pytest.raises(HardwareError, match="node 2 out of range"):
         vm.touch_pages(range(0, 4), node=2)
     assert _vm_state(vm) == before
+
+
+def test_touch_pages_rejects_negative_node_before_mapping(vm):
+    vm.machine.memory.allocate(4)
+    before = _vm_state(vm)
+    with pytest.raises(HardwareError, match="node -1 out of range"):
+        vm.touch_pages(range(0, 4), node=-1)
+    assert _vm_state(vm) == before
+
+
+def test_more_nodes_than_the_mapping_bitmask_holds_are_rejected():
+    machine = Machine(MachineConfig(n_sockets=9, cores_per_socket=1))
+    with pytest.raises(HardwareError, match="9 nodes exceed"):
+        VirtualMemory(machine)
+    VirtualMemory(Machine(MachineConfig(n_sockets=8, cores_per_socket=1)))
 
 
 def test_touch_pages_rejects_full_bank_before_mapping():
