@@ -39,8 +39,7 @@ from .db import (BAT, Catalog, ClientPool, DatabaseEngine, MonetDBLike,
 from .db.clients import repeat_stream
 from .errors import ReproError, VerificationError
 from .experiments import SystemUnderTest, build_system
-from .verify import (VerificationReport, verify_performance_model,
-                     verify_source_tree)
+from .verify import VerificationReport, verify_performance_model
 from .hardware import EnergyModel, Machine, Topology, opteron_8387
 from .opsys import CpuSet, OperatingSystem, Scheduler
 from .sim import Simulator, TraceRecorder
@@ -69,7 +68,6 @@ __all__ = [
     "build_system", "SystemUnderTest",
     # static verification
     "VerificationReport", "verify_performance_model",
-    "verify_source_tree",
     # errors
     "ReproError", "VerificationError",
 ]

@@ -20,8 +20,8 @@ controller health (convergence to LONC, oscillation, allocation lag);
 ``explain`` replays the decision-provenance log — the full causal chain
 (sample -> guard -> action) behind every mask change.  ``compare`` is a
 quick four-way mode comparison on one query; ``verify`` runs the static
-model checks and the determinism lint (exit 0 clean, 1 on findings) —
-the CI gate.
+checks of the PrT-net model (exit 0 clean, 1 on findings) — the CI
+gate.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="static model checks + determinism lint (the CI gate)")
+        help="static checks of the PrT-net model (the CI gate)")
     verify.add_argument("--json", action="store_true",
                         help="machine-readable report on stdout")
     verify.add_argument("--strategy", default="all",
@@ -205,39 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="PATH[:FUNC] of a python file whose FUNC "
                              "(default 'build') returns the model to "
                              "verify instead of the shipped one")
-    verify.add_argument("--src", default=None,
-                        help="source tree to lint (default: the "
-                             "installed repro package)")
-    verify.add_argument("--no-lint", action="store_true",
-                        help="skip the source rules")
-    verify.add_argument("--no-model", action="store_true",
-                        help="skip the model checks")
-    verify.add_argument("--lint-only", action="store_true",
-                        help="run only the source rules "
-                             "(pattern + flow; skip model checks)")
-    verify.add_argument("--all", action="store_true",
-                        help="run everything: model checks plus every "
-                             "registered source rule (overrides the "
-                             "--no-*/--lint-only switches)")
-    verify.add_argument("--rules", action="append", default=None,
-                        metavar="ID[,ID...]",
-                        help="restrict the source run to these rule "
-                             "ids (repeatable, comma-separable)")
-    verify.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalog and exit")
-    verify.add_argument("--files", nargs="+", default=None,
-                        metavar="FILE",
-                        help="run the source rules over these files "
-                             "only (the pre-commit hook; implies "
-                             "--lint-only)")
-    verify.add_argument("--baseline", default=None, metavar="FILE",
-                        help="grandfather the findings recorded in "
-                             "FILE: matches are demoted to warnings, "
-                             "anything new still fails")
-    verify.add_argument("--write-baseline", default=None,
-                        metavar="FILE",
-                        help="record the current source error findings "
-                             "into FILE and exit")
     return parser
 
 
@@ -486,101 +453,42 @@ def _load_fixture(spec: str):
 def _run_verify(args: argparse.Namespace) -> int:
     from .config import preflight_defects
     from .core.model import PerformanceModel
-    from .verify import (Finding, VerificationReport, all_rules,
-                         apply_baseline, load_baseline, write_baseline,
-                         verify_files, verify_performance_model,
-                         verify_source_tree)
-
-    if args.list_rules:
-        for entry in all_rules():
-            zones = f"  zones={'/'.join(entry.zones)}" if entry.zones \
-                else ""
-            print(f"{entry.id}  [{entry.severity}]{zones}")
-            print(f"    {entry.summary}")
-            if entry.remedy:
-                print(f"    fix: {entry.remedy}")
-        return 0
-
-    rules = None
-    if args.rules:
-        rules = [rule_id.strip() for chunk in args.rules
-                 for rule_id in chunk.split(",") if rule_id.strip()]
-        unknown = sorted(set(rules)
-                         - {entry.id for entry in all_rules()})
-        if unknown:
-            print(f"error: unknown rule id(s): {', '.join(unknown)} "
-                  f"(see --list-rules)", file=sys.stderr)
-            return 2
-
-    lint_only = args.lint_only or args.files is not None \
-        or args.write_baseline is not None
-    run_model = not args.no_model and not lint_only
-    run_lint = not args.no_lint
-    if args.all:
-        run_model, run_lint = True, True
+    from .verify import (Finding, VerificationReport,
+                         verify_performance_model)
 
     reports = []
-    if run_model:
-        if args.fixture is not None:
-            model = _load_fixture(args.fixture)
+    if args.fixture is not None:
+        model = _load_fixture(args.fixture)
+        reports.append(verify_performance_model(
+            model, grid=args.grid, subject=f"fixture {args.fixture}"))
+    else:
+        names = (list(_VERIFY_STRATEGIES) if args.strategy == "all"
+                 else [args.strategy])
+        for name in names:
+            th_min, th_max, domain = _VERIFY_STRATEGIES[name]
+            if args.th_min is not None:
+                th_min, domain = args.th_min, None
+            if args.th_max is not None:
+                th_max, domain = args.th_max, None
+            subject = (f"{name}(th_min={th_min}, th_max={th_max}, "
+                       f"n_total={args.n_total})")
+            defects = preflight_defects(
+                th_min, th_max, args.min_cores, args.initial_cores,
+                args.n_total)
+            if defects:
+                report = VerificationReport(subject=subject)
+                report.extend("model-config", [
+                    Finding("model-config", message)
+                    for message in defects])
+                reports.append(report)
+                continue
+            model = PerformanceModel(
+                th_min, th_max, args.n_total, n_min=args.min_cores,
+                initial_cores=args.initial_cores)
+            if domain is not None:
+                model.metric_domain = domain
             reports.append(verify_performance_model(
-                model, grid=args.grid,
-                subject=f"fixture {args.fixture}"))
-        else:
-            names = (list(_VERIFY_STRATEGIES) if args.strategy == "all"
-                     else [args.strategy])
-            for name in names:
-                th_min, th_max, domain = _VERIFY_STRATEGIES[name]
-                if args.th_min is not None:
-                    th_min, domain = args.th_min, None
-                if args.th_max is not None:
-                    th_max, domain = args.th_max, None
-                subject = (f"{name}(th_min={th_min}, th_max={th_max}, "
-                           f"n_total={args.n_total})")
-                defects = preflight_defects(
-                    th_min, th_max, args.min_cores, args.initial_cores,
-                    args.n_total)
-                if defects:
-                    report = VerificationReport(subject=subject)
-                    report.extend("model-config", [
-                        Finding("model-config", message)
-                        for message in defects])
-                    reports.append(report)
-                    continue
-                model = PerformanceModel(
-                    th_min, th_max, args.n_total,
-                    n_min=args.min_cores,
-                    initial_cores=args.initial_cores)
-                if domain is not None:
-                    model.metric_domain = domain
-                reports.append(verify_performance_model(
-                    model, grid=args.grid, subject=subject))
-    if run_lint:
-        if args.src is not None and not Path(args.src).is_dir():
-            print(f"error: --src '{args.src}' is not a directory",
-                  file=sys.stderr)
-            return 2
-        if args.files is not None:
-            source_report = verify_files(args.files, root=args.src,
-                                         rules=rules)
-        else:
-            source_report = verify_source_tree(args.src, rules=rules)
-        if args.write_baseline is not None:
-            count = write_baseline(source_report.findings,
-                                   Path(args.write_baseline))
-            print(f"wrote {count} baseline entr"
-                  f"{'y' if count == 1 else 'ies'} to "
-                  f"{args.write_baseline}")
-            return 0
-        if args.baseline is not None:
-            entries = load_baseline(Path(args.baseline))
-            source_report.findings = apply_baseline(
-                source_report.findings, entries,
-                baseline_name=args.baseline)
-            if any(f.check == "baseline:stale-entry"
-                   for f in source_report.findings):
-                source_report.extend("baseline:stale-entry", [])
-        reports.append(source_report)
+                model, grid=args.grid, subject=subject))
     ok = all(report.ok for report in reports)
     if args.json:
         import json

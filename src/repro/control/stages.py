@@ -245,7 +245,9 @@ class LeaseActuator:
     core is not held by another tenant and updates the tenant's cpuset —
     the mask the scheduler enforces.  Each applied core emits the same
     :class:`~repro.sim.tracing.CoreAllocation` record the pre-refactor
-    controller emitted, in the same order.
+    controller emitted, in the same order.  An allocation's records are
+    emitted only once every core in it is leased, so a rejected delta
+    leaves no allocation record behind.
     """
 
     def __init__(self, os: "OperatingSystem", tenant: str = DEFAULT_TENANT):
@@ -259,26 +261,24 @@ class LeaseActuator:
         for core in cores:
             self._trace(core, allocated=True)
 
-    # The actuator's whole job is to transfer leases to the tenant, so
-    # they legitimately outlive the call and cannot balance statically:
-    def apply(self, delta: CoreDelta) -> CoreDelta:  # verify: allow=flow:lease-unpaired
-        acquired: list[int] = []
+    def apply(self, delta: CoreDelta) -> CoreDelta:
+        granted: list[CoreAllocation] = []
         try:
             for core in delta.allocate:
                 self.inventory.acquire(self.tenant, core)
-                acquired.append(core)
-                self._trace(core, allocated=True)
+                granted.append(self._record(core, allocated=True))
         except LeaseError:
             # roll back the partial acquisition so a rejected delta
-            # leaves the inventory (and the trace) exactly as it was
-            for core in reversed(acquired):
-                self.inventory.release(self.tenant, core)
-                self._trace(core, allocated=False)
+            # leaves the leases and the allocation records as they were
+            for record in reversed(granted):
+                self.inventory.release(self.tenant, record.core_id)
             raise
+        for record in granted:
+            self.os.tracer.emit(record)
         for core in delta.release:
             # a failed release keeps that core leased; the next Sense
             # re-syncs the model from the cpuset, so nothing dangles
-            self.inventory.release(self.tenant, core)  # verify: allow=flow:lease-rollback
+            self.inventory.release(self.tenant, core)
             self._trace(core, allocated=False)
         return delta
 
@@ -292,11 +292,14 @@ class LeaseActuator:
     def n_allocated(self) -> int:
         return len(self.cpuset)
 
-    def _trace(self, core: int, allocated: bool) -> None:
-        self.os.tracer.emit(CoreAllocation(
+    def _record(self, core: int, allocated: bool) -> CoreAllocation:
+        return CoreAllocation(
             time=self.os.now, core_id=core,
             node_id=self.os.topology.node_of_core(core),
-            allocated=allocated, n_allocated=len(self.cpuset)))
+            allocated=allocated, n_allocated=len(self.cpuset))
+
+    def _trace(self, core: int, allocated: bool) -> None:
+        self.os.tracer.emit(self._record(core, allocated))
 
 
 def single_step(delta: CoreDelta) -> CoreDelta:

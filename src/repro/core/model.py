@@ -28,6 +28,7 @@ pair is reported as the paper's Fig 7 labels (``t1-Overload-t5`` ...), and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..errors import PetriNetError
 from .petrinet import Arc, OutputArc, PetriNet, Transition
@@ -37,6 +38,54 @@ _STATE_OF = {"t0": "Idle", "t1": "Overload", "t2": "Stable"}
 
 #: action carried by each exit transition
 _ACTION_OF = {"t4": "release", "t5": "allocate"}
+
+
+# Guards and output expressions are module-level functions (bound to
+# the thresholds with ``functools.partial``), not lambdas, so a model
+# pickles: a controller's model sits inside every captured simulation.
+
+def _u_at_most(th_min, b):
+    return b["u"] <= th_min
+
+
+def _u_at_least(th_max, b):
+    return b["u"] >= th_max
+
+
+def _u_between(th_min, th_max, b):
+    return th_min < b["u"] < th_max
+
+
+def _na_above(n_min, b):
+    return b["na"] > n_min
+
+
+def _na_below(n_total, b):
+    return b["na"] < n_total
+
+
+def _na_equals(bound, b):
+    return b["na"] == bound
+
+
+def _u(b):
+    return (b["u"],)
+
+
+def _na(b):
+    return (b["na"],)
+
+
+def _u_na(b):
+    return (b["u"], b["na"])
+
+
+def _na_minus_one(b):
+    return (b["na"] - 1,)
+
+
+def _na_plus_one(b):
+    return (b["na"] + 1,)
 
 
 @dataclass(frozen=True)
@@ -100,52 +149,51 @@ class PerformanceModel:
 
         # entry transitions: classify the fresh u token
         net.add_transition(Transition(
-            "t0", guard=lambda b: b["u"] <= th_min,
+            "t0", guard=partial(_u_at_most, th_min),
             guard_text=f"u <= {th_min}",
             inputs=[Arc("Checks", ("u",), "u"),
                     Arc("Provision", ("na",), "na")],
-            outputs=[OutputArc("Idle", lambda b: (b["u"], b["na"]), "na")]))
+            outputs=[OutputArc("Idle", _u_na, "na")]))
         net.add_transition(Transition(
-            "t1", guard=lambda b: b["u"] >= th_max,
+            "t1", guard=partial(_u_at_least, th_max),
             guard_text=f"u >= {th_max}",
             inputs=[Arc("Checks", ("u",), "u"),
                     Arc("Provision", ("na",), "na")],
-            outputs=[OutputArc("Overload",
-                               lambda b: (b["u"], b["na"]), "na")]))
+            outputs=[OutputArc("Overload", _u_na, "na")]))
         net.add_transition(Transition(
-            "t2", guard=lambda b: th_min < b["u"] < th_max,
+            "t2", guard=partial(_u_between, th_min, th_max),
             guard_text=f"{th_min} < u < {th_max}",
             inputs=[Arc("Checks", ("u",), "u")],
-            outputs=[OutputArc("Stable", lambda b: (b["u"],), "u")]))
+            outputs=[OutputArc("Stable", _u, "u")]))
 
         # exit transitions: act and return the token to Checks
         net.add_transition(Transition(
-            "t4", guard=lambda b: b["na"] > n_min,
+            "t4", guard=partial(_na_above, n_min),
             guard_text=f"nalloc > {n_min}",
             inputs=[Arc("Idle", ("u", "na"), "na")],
-            outputs=[OutputArc("Provision", lambda b: (b["na"] - 1,), "na"),
-                     OutputArc("Checks", lambda b: (b["u"],), "u")]))
+            outputs=[OutputArc("Provision", _na_minus_one, "na"),
+                     OutputArc("Checks", _u, "u")]))
         net.add_transition(Transition(
-            "t7", guard=lambda b: b["na"] == n_min,
+            "t7", guard=partial(_na_equals, n_min),
             guard_text=f"nalloc == {n_min}",
             inputs=[Arc("Idle", ("u", "na"), "na")],
-            outputs=[OutputArc("Provision", lambda b: (b["na"],), "na"),
-                     OutputArc("Checks", lambda b: (b["u"],), "u")]))
+            outputs=[OutputArc("Provision", _na, "na"),
+                     OutputArc("Checks", _u, "u")]))
         net.add_transition(Transition(
-            "t5", guard=lambda b: b["na"] < n_total,
+            "t5", guard=partial(_na_below, n_total),
             guard_text=f"nalloc < {n_total}",
             inputs=[Arc("Overload", ("u", "na"), "na")],
-            outputs=[OutputArc("Provision", lambda b: (b["na"] + 1,), "na"),
-                     OutputArc("Checks", lambda b: (b["u"],), "u")]))
+            outputs=[OutputArc("Provision", _na_plus_one, "na"),
+                     OutputArc("Checks", _u, "u")]))
         net.add_transition(Transition(
-            "t6", guard=lambda b: b["na"] == n_total,
+            "t6", guard=partial(_na_equals, n_total),
             guard_text=f"nalloc == {n_total}",
             inputs=[Arc("Overload", ("u", "na"), "na")],
-            outputs=[OutputArc("Provision", lambda b: (b["na"],), "na"),
-                     OutputArc("Checks", lambda b: (b["u"],), "u")]))
+            outputs=[OutputArc("Provision", _na, "na"),
+                     OutputArc("Checks", _u, "u")]))
         net.add_transition(Transition(
             "t3", inputs=[Arc("Stable", ("u",), "u")],
-            outputs=[OutputArc("Checks", lambda b: (b["u"],), "u")]))
+            outputs=[OutputArc("Checks", _u, "u")]))
 
         net.set_token("Provision", (initial_cores,))
         return net

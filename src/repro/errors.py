@@ -85,14 +85,3 @@ class ReachabilityError(VerificationError):
     """Bounded reachability found a marking where the ``Checks`` token does
     not return, or a core count outside ``[min_cores, n_total]``."""
 
-
-class DeterminismLintError(VerificationError):
-    """The determinism lint found a reproducibility hazard (wall-clock
-    call, unseeded RNG, mutable default argument, float equality)."""
-
-
-class ProtocolLintError(VerificationError):
-    """A protocol analyzer found code violating the lease/spawn/ordering
-    discipline: an unpaired or rollback-free multi-step acquisition, a
-    lease or cpuset mutation outside the actuator, an unpicklable object
-    on a spawn/snapshot path, or set iteration order reaching a trace."""

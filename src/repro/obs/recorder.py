@@ -16,8 +16,9 @@ you cannot thread it through (the CLI's ``--telemetry`` flag does this)::
 
 The host clock lives *here*, outside the determinism-critical zones:
 ``core``/``sim``/``opsys`` components never import ``time`` themselves,
-they measure through ``recorder.spans`` (see ``repro verify``'s
-wall-clock lint).
+they measure through ``recorder.spans``.  A host-clock read that
+reached a scheduling decision would show up as a golden-trace
+divergence.
 """
 
 from __future__ import annotations

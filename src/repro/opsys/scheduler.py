@@ -159,8 +159,7 @@ class Scheduler:
         if tenant is None:
             return self._live_threads
         # commutative integer reduction: order cannot reach the result
-        return sum(1 for t in self.threads  # verify: allow=flow:set-iteration
-                   if t.tenant == tenant)
+        return sum(1 for t in self.threads if t.tenant == tenant)
 
     def core_load(self, core: int) -> int:
         """Queue length of ``core`` including the running thread.  O(1)."""

@@ -84,15 +84,21 @@ def delivered_total() -> int:
     return _DELIVERED_TOTAL
 
 
+#: the exclusive upper bound of a valid delay or time; one chained
+#: comparison against it rejects NaN and both infinities per schedule
+_INF = float("inf")
+
+
 def _rejected(what: str, value: float, fn: Callable[..., Any],
               past: str) -> SimulationError:
     """The error for an invalid ``delay`` or ``time`` of callback ``fn``.
 
-    ``past`` is the message for a value before now.  NaN gets its own:
-    it fails every comparison, so a NaN event would reach the far tier
-    and stall the horizon forever.
+    ``past`` is the message for a finite value before now.  NaN and
+    ±inf get their own: NaN fails every comparison, so a NaN event would
+    reach the far tier and stall the horizon forever, and an infinite
+    one would be delivered and leave the clock at ``inf``.
     """
-    if value != value:
+    if not -_INF < value < _INF:
         name = getattr(fn, "__qualname__", repr(fn))
         return SimulationError(f"cannot schedule {name} at {what}={value}")
     return SimulationError(past)
@@ -165,7 +171,7 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any],
                  *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if not delay >= 0:
+        if not 0 <= delay < _INF:
             raise _rejected("delay", delay, fn,
                             f"cannot schedule {delay}s in the past")
         return self._push(None, self._now + delay, fn, args)
@@ -173,7 +179,7 @@ class Simulator:
     def schedule_at(self, time: float, fn: Callable[..., Any],
                     *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if not time >= self._now:
+        if not self._now <= time < _INF:
             raise _rejected(
                 "time", time, fn,
                 f"cannot schedule at t={time} before now={self._now}")
@@ -192,7 +198,7 @@ class Simulator:
         scheduled.  Always use the returned event for further
         cancel/reschedule calls.
         """
-        if not delay >= 0:
+        if not 0 <= delay < _INF:
             raise _rejected("delay", delay, event.fn,
                             f"cannot schedule {delay}s in the past")
         if event.cancelled:
@@ -349,7 +355,9 @@ class Simulator:
         ----------
         until:
             Stop once simulated time would pass this bound (events exactly at
-            ``until`` are still delivered).
+            ``until`` are still delivered).  A bound before now, or NaN,
+            raises :class:`SimulationError`: the clock never runs
+            backwards.
         max_events:
             Safety valve against runaway simulations.
 
@@ -361,6 +369,10 @@ class Simulator:
         global _DELIVERED_TOTAL
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and not until >= self._now:
+            raise SimulationError(
+                f"cannot run until={until}: the clock is at now="
+                f"{self._now} and never runs backwards")
         self._running = True
         delivered = 0
         # the batch dispatch loop: one time-heap pop delivers a whole

@@ -12,42 +12,22 @@ before a simulation runs:
 * :mod:`repro.verify.invariants` — exact P-/T-invariants (nullspace +
   Farkas) and the conservation/coverage checks built on them;
 * :mod:`repro.verify.guards` — guard coverage over the metric domain and
-  bounded reachability over the (metric x core count) state space;
-* :mod:`repro.verify.lint` — the determinism pattern rules;
-* :mod:`repro.verify.flow` — per-function CFGs and forward abstract
-  interpretation, the engine under the protocol analyzers;
-* :mod:`repro.verify.rules` — the pluggable rule registry: the lint's
-  pattern rules plus the lease-typestate, spawn-safety and
-  set-iteration-ordering flow rules;
-* :mod:`repro.verify.suppress` / :mod:`repro.verify.baseline` — the
-  scoped ``# verify: allow=<rule-id>`` hatch and the grandfathering
-  baseline, both audited (unused suppressions and stale baseline
-  entries are themselves findings).
+  bounded reachability over the (metric x core count) state space.
 
 Entry points: :func:`verify_performance_model` for one model (used by
-``ElasticController(..., verify_model=True)``),
-:func:`verify_source_tree` for the full rule set over a tree,
-:func:`verify_files` for a changed-files-only run (the pre-commit
-hook), and the ``repro verify`` CLI subcommand which wires everything
-into CI.
+``ElasticController(..., verify_model=True)``) and the ``repro verify``
+CLI subcommand, which runs it over the shipped strategies' thresholds
+(or a fixture model) and prints or serialises the reports.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from pathlib import Path
-
-from ..errors import (DeterminismLintError, GuardCoverageError,
-                      InvariantViolationError, ProtocolLintError,
+from ..errors import (GuardCoverageError, InvariantViolationError,
                       ReachabilityError, VerificationError)
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .flow import analyse_forward, build_cfg, iter_functions
 from .guards import check_guard_coverage, check_reachability, metric_samples
 from .invariants import (check_invariants, invariant_supports, is_invariant,
                          nullspace, p_invariants, t_invariants)
-from .lint import lint_file, lint_tree
 from .report import Finding, VerificationReport
-from .rules import Rule, all_rules, rule_ids, run_file, run_tree
 from .structure import NetStructure, check_structure
 
 #: the conservation laws the paper's model is expected to satisfy, as
@@ -106,16 +86,6 @@ _ERROR_OF_CHECK = {
     "t-invariant": InvariantViolationError,
     "guard-coverage": GuardCoverageError,
     "reachability": ReachabilityError,
-    "lint:wall-clock": DeterminismLintError,
-    "lint:unseeded-random": DeterminismLintError,
-    "lint:mutable-default": DeterminismLintError,
-    "lint:float-equality": DeterminismLintError,
-    "flow:lease-rollback": ProtocolLintError,
-    "flow:lease-unpaired": ProtocolLintError,
-    "flow:lease-outside-actuator": ProtocolLintError,
-    "flow:spawn-unpicklable": ProtocolLintError,
-    "flow:spawn-global-mutable": ProtocolLintError,
-    "flow:set-iteration": ProtocolLintError,
 }
 
 
@@ -132,56 +102,11 @@ def raise_on_findings(report: VerificationReport) -> None:
         + "; ".join(finding.render() for finding in findings))
 
 
-def _tree_report(subject: str, findings: list[Finding],
-                 rules: Iterable[str] | None) -> VerificationReport:
-    report = VerificationReport(subject=subject)
-    ran = list(rules) if rules is not None else rule_ids()
-    by_check: dict[str, list[Finding]] = {}
-    for finding in findings:
-        by_check.setdefault(finding.check, []).append(finding)
-    for check in ran:
-        report.extend(check, by_check.pop(check, []))
-    for check in sorted(by_check):  # audit/parse findings
-        report.extend(check, by_check[check])
-    return report
-
-
-def verify_source_tree(root: str | Path | None = None,
-                       rules: Iterable[str] | None = None
-                       ) -> VerificationReport:
-    """Run every registered source rule (pattern + flow) over a tree.
-
-    ``root`` defaults to the installed ``repro`` package; ``rules``
-    restricts the run to the given rule ids.
-    """
-    if root is None:
-        root = Path(__file__).resolve().parent.parent
-    root = Path(root)
-    return _tree_report(f"source tree {root}",
-                        run_tree(root, rules=rules), rules)
-
-
-def verify_files(paths: Iterable[str | Path],
-                 root: str | Path | None = None,
-                 rules: Iterable[str] | None = None
-                 ) -> VerificationReport:
-    """Run the source rules over specific files only (pre-commit)."""
-    if root is None:
-        root = Path(__file__).resolve().parent.parent
-    root = Path(root)
-    files = [Path(p) for p in paths]
-    findings = run_tree(root, rules=rules, files=files)
-    return _tree_report(f"{len(files)} file(s)", findings, rules)
-
-
 __all__ = [
-    "Finding", "VerificationReport", "NetStructure", "Rule",
+    "Finding", "VerificationReport", "NetStructure",
     "check_structure", "check_invariants", "check_guard_coverage",
     "check_reachability", "metric_samples",
     "nullspace", "p_invariants", "t_invariants", "invariant_supports",
-    "is_invariant", "lint_file", "lint_tree", "all_rules", "rule_ids",
-    "run_file", "run_tree", "build_cfg", "analyse_forward",
-    "iter_functions", "apply_baseline", "load_baseline",
-    "write_baseline", "verify_performance_model", "verify_source_tree",
-    "verify_files", "raise_on_findings", "EXPECTED_P_INVARIANTS",
+    "is_invariant", "verify_performance_model", "raise_on_findings",
+    "EXPECTED_P_INVARIANTS",
 ]

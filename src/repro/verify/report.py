@@ -2,10 +2,10 @@
 
 Every analysis in :mod:`repro.verify` returns :class:`Finding` objects
 tagged with the *check* that produced them (``"guard-coverage"``,
-``"p-invariant"``, ``"lint:wall-clock"`` ...).  A
-:class:`VerificationReport` aggregates findings across checks, renders
-them for humans and serialises them to the machine-readable JSON the
-``repro verify --json`` CLI and the CI job consume.
+``"p-invariant"`` ...).  A :class:`VerificationReport` aggregates
+findings across checks, renders them for humans and serialises them to
+the machine-readable JSON the ``repro verify --json`` CLI and the CI job
+consume.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 #: checks in the order the driver runs them (used to sort reports)
 CHECK_ORDER = (
     "structure", "p-invariant", "t-invariant", "guard-coverage",
-    "reachability", "lint:wall-clock", "lint:unseeded-random",
-    "lint:mutable-default", "lint:float-equality",
-    "flow:lease-rollback", "flow:lease-unpaired",
-    "flow:lease-outside-actuator", "flow:spawn-unpicklable",
-    "flow:spawn-global-mutable", "flow:set-iteration",
-    "lint:blanket-allow", "lint:unused-suppression",
+    "reachability",
 )
 
 
@@ -32,52 +27,31 @@ class Finding:
     Attributes
     ----------
     check:
-        Which analysis produced the finding (see :data:`CHECK_ORDER`);
-        for source rules this is the rule id from the rule registry.
+        Which analysis produced the finding (see :data:`CHECK_ORDER`).
     message:
         Human-readable statement of the violated property.
     location:
-        Where: ``file:line:col`` for source findings, a place/transition
-        name or a marking description for model findings; empty when
-        global.
+        Where: a place/transition name or a marking description; empty
+        when global.
     severity:
         ``"error"`` (fails verification) or ``"warning"`` (reported,
         does not fail).
-    path / line / col:
-        Structured position for source findings (``col`` is 1-based, as
-        editors count; 0 means "no column").  Model findings leave all
-        three empty/zero, which sorts them ahead of source findings.
     """
 
     check: str
     message: str
     location: str = ""
     severity: str = "error"
-    path: str = ""
-    line: int = 0
-    col: int = 0
-
-    @classmethod
-    def at(cls, check: str, message: str, path: str, line: int,
-           col: int = 0, severity: str = "error") -> "Finding":
-        """A source finding with a structured position."""
-        suffix = f":{col}" if col else ""
-        return cls(check, message, location=f"{path}:{line}{suffix}",
-                   severity=severity, path=path, line=line, col=col)
 
     def sort_key(self) -> tuple:
-        """The stable order: severity, path, line, col, rule id.
-
-        Errors sort before warnings; model findings (no path) sort by
-        the canonical :data:`CHECK_ORDER` rank; source findings sort
-        positionally so ``--json`` output diffs cleanly across runs.
-        """
+        """The stable order: errors before warnings, then the canonical
+        :data:`CHECK_ORDER` rank, so ``--json`` output diffs cleanly."""
         try:
             rank = CHECK_ORDER.index(self.check)
         except ValueError:
             rank = len(CHECK_ORDER)
-        return (0 if self.severity == "error" else 1, self.path,
-                self.line, self.col, rank, self.check, self.message)
+        return (0 if self.severity == "error" else 1, rank, self.check,
+                self.message)
 
     def render(self) -> str:
         """One display line, e.g. ``guard-coverage: gap at u=15 (...)``."""
@@ -86,14 +60,8 @@ class Finding:
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready mapping."""
-        payload: dict[str, object] = {
-            "check": self.check, "severity": self.severity,
-            "message": self.message, "location": self.location}
-        if self.path:
-            payload["path"] = self.path
-            payload["line"] = self.line
-            payload["col"] = self.col
-        return payload
+        return {"check": self.check, "severity": self.severity,
+                "message": self.message, "location": self.location}
 
 
 @dataclass
@@ -114,13 +82,6 @@ class VerificationReport:
         if check not in self.checks_run:
             self.checks_run.append(check)
         self.findings.extend(findings)
-
-    def merge(self, other: VerificationReport) -> None:
-        """Absorb another report (used to combine model + lint runs)."""
-        for check in other.checks_run:
-            if check not in self.checks_run:
-                self.checks_run.append(check)
-        self.findings.extend(other.findings)
 
     def sorted_findings(self) -> list[Finding]:
         """Findings in the stable order of :meth:`Finding.sort_key`."""

@@ -198,14 +198,12 @@ def test_verify_clean_run_exits_zero(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "verification passed" in out
-    for check in ("guard-coverage", "reachability", "p-invariant",
-                  "lint:wall-clock"):
+    for check in ("guard-coverage", "reachability", "p-invariant"):
         assert check in out
 
 
 def test_verify_json_schema(capsys):
-    assert main(["verify", "--json", "--strategy", "cpu_load",
-                 "--no-lint"]) == 0
+    assert main(["verify", "--json", "--strategy", "cpu_load"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["ok"] is True
     (report,) = document["reports"]
@@ -215,8 +213,7 @@ def test_verify_json_schema(capsys):
 
 
 def test_verify_guard_gap_fixture_fails_naming_property(capsys):
-    code = main(["verify", "--no-lint",
-                 "--fixture", f"{BROKEN_MODELS}:build_gap"])
+    code = main(["verify", "--fixture", f"{BROKEN_MODELS}:build_gap"])
     assert code == 1
     out = capsys.readouterr().out
     assert "guard-coverage" in out and "gap" in out
@@ -224,7 +221,7 @@ def test_verify_guard_gap_fixture_fails_naming_property(capsys):
 
 
 def test_verify_nonconservative_fixture_fails(capsys):
-    code = main(["verify", "--no-lint", "--json",
+    code = main(["verify", "--json",
                  "--fixture", f"{BROKEN_MODELS}:build_leaky"])
     assert code == 1
     document = json.loads(capsys.readouterr().out)
@@ -234,23 +231,8 @@ def test_verify_nonconservative_fixture_fails(capsys):
     assert "p-invariant" in checks
 
 
-def test_verify_injected_wall_clock_fails(tmp_path, capsys):
-    core = tmp_path / "core"
-    core.mkdir()
-    core.joinpath("clock.py").write_text(
-        "import time\n\n\ndef stamp():\n    return time.time()\n")
-    code = main(["verify", "--no-model", "--src", str(tmp_path)])
-    assert code == 1
-    assert "lint:wall-clock" in capsys.readouterr().out
-
-
-def test_verify_clean_src_tree_passes(tmp_path):
-    tmp_path.joinpath("ok.py").write_text("x = 1\n")
-    assert main(["verify", "--no-model", "--src", str(tmp_path)]) == 0
-
-
 def test_verify_inverted_thresholds_reported_not_crashed(capsys):
-    code = main(["verify", "--no-lint", "--strategy", "cpu_load",
+    code = main(["verify", "--strategy", "cpu_load",
                  "--th-min", "70", "--th-max", "10"])
     assert code == 1
     assert "thresholds inverted" in capsys.readouterr().out
@@ -261,87 +243,11 @@ def test_verify_missing_fixture_is_an_error(capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_verify_lint_only_skips_model_checks(capsys):
-    assert main(["verify", "--lint-only"]) == 0
-    out = capsys.readouterr().out
-    assert "guard-coverage" not in out
-    assert "flow:lease-rollback" in out
-    assert "verification passed" in out
-
-
-def test_verify_all_runs_every_rule_family(capsys):
-    assert main(["verify", "--all", "--json"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    checks = {check for report in document["reports"]
-              for check in report["checks"]}
-    assert {"guard-coverage", "lint:wall-clock",
-            "flow:lease-rollback", "flow:spawn-unpicklable",
-            "flow:set-iteration"} <= checks
-
-
-def test_verify_list_rules_prints_catalog(capsys):
-    assert main(["verify", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    assert "flow:lease-rollback" in out
-    assert "flow:set-iteration" in out
-    assert "fix:" in out
-
-
-def test_verify_unknown_rule_id_is_an_error(capsys):
-    assert main(["verify", "--rules", "flow:no-such-rule"]) == 2
-    assert "unknown rule id" in capsys.readouterr().err
-
-
-def test_verify_rules_subset(capsys):
-    assert main(["verify", "--lint-only", "--json",
-                 "--rules", "lint:wall-clock,lint:unseeded-random"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    (report,) = document["reports"]
-    assert set(report["checks"]) == {"lint:wall-clock",
-                                     "lint:unseeded-random"}
-
-
-def test_verify_files_runs_changed_files_only(tmp_path, capsys):
-    sim = tmp_path / "sim"
-    sim.mkdir()
-    bad = sim / "bad.py"
-    bad.write_text("import time\nnow = time.time()\n")
-    (sim / "also_bad_but_not_given.py").write_text(
-        "import time\nnow = time.time()\n")
-    code = main(["verify", "--src", str(tmp_path),
-                 "--files", str(bad)])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert out.count("!!") == 1
-    assert "lint:wall-clock" in out
-    assert "sim/bad.py" in out
-
-
-def test_verify_baseline_demotes_then_gates(tmp_path, capsys):
-    sim = tmp_path / "sim"
-    sim.mkdir()
-    bad = sim / "bad.py"
-    bad.write_text("import time\nnow = time.time()\n")
-    baseline = tmp_path / "baseline.json"
-
-    assert main(["verify", "--src", str(tmp_path),
-                 "--write-baseline", str(baseline)]) == 0
-    assert "wrote 1 baseline entry" in capsys.readouterr().out
-
-    # grandfathered: visible as a warning, exit code clean
-    assert main(["verify", "--lint-only", "--src", str(tmp_path),
-                 "--baseline", str(baseline)]) == 0
-    assert "[grandfathered]" in capsys.readouterr().out
-
-    # a new finding still fails even with the baseline applied
-    bad.write_text("import time\nnow = time.time()\n"
-                   "import random\nx = random.random()\n")
-    assert main(["verify", "--lint-only", "--src", str(tmp_path),
-                 "--baseline", str(baseline)]) == 1
-    assert "lint:unseeded-random" in capsys.readouterr().out
-
-    # finding fixed: the baseline entry is reported stale
-    bad.write_text("x = 1\n")
-    assert main(["verify", "--lint-only", "--src", str(tmp_path),
-                 "--baseline", str(baseline)]) == 0
-    assert "baseline:stale-entry" in capsys.readouterr().out
+@pytest.mark.parametrize("flag", [
+    "--src", "--no-lint", "--no-model", "--lint-only", "--all", "--rules",
+    "--list-rules", "--files", "--baseline", "--write-baseline"])
+def test_verify_has_no_source_rule_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

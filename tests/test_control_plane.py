@@ -11,7 +11,8 @@ import pytest
 
 from repro.config import ControllerConfig
 from repro.control import (CooldownActuator, CoreDelta, DryRunActuator,
-                           ModePlanner, NO_CHANGE, single_step)
+                           LeaseActuator, ModePlanner, NO_CHANGE,
+                           single_step)
 from repro.core.controller import ElasticController
 from repro.core.modes import DenseMode, make_mode
 from repro.core.strategies import CpuLoadStrategy
@@ -19,6 +20,7 @@ from repro.errors import AllocationError, LeaseError, SchedulerError
 from repro.hardware.prebuilt import small_numa
 from repro.opsys.system import OperatingSystem
 from repro.opsys.workitem import ListWorkSource, WorkItem
+from repro.sim.tracing import CoreAllocation
 
 
 def make_controller(mode="dense", keepalive=False, tenant=None, os_=None,
@@ -255,6 +257,28 @@ def test_two_controllers_hold_disjoint_leases():
     os_.inventory.check()
     assert controllers["left"].ticks > 0
     assert controllers["right"].ticks > 0
+
+
+def test_rejected_allocation_rolls_back_leases_masks_and_trace():
+    # the free core is leased before the foreign one is refused: the
+    # rollback must hand it back, or tenant "a" keeps a core it was
+    # never granted and "b"'s planner sees it as foreign
+    os_ = OperatingSystem(small_numa())
+    for tenant, cores in (("a", [0]), ("b", [1])):
+        os_.create_tenant(tenant)
+        LeaseActuator(os_, tenant=tenant).seed(cores)
+    actuator = LeaseActuator(os_, tenant="a")
+    free, foreign = 2, 1
+
+    def state():
+        return ({t: os_.inventory.cpuset_of(t).allowed() for t in "ab"},
+                os_.inventory.leases(), os_.tracer.of(CoreAllocation))
+
+    before = state()
+    with pytest.raises(LeaseError, match="already leased"):
+        actuator.apply(CoreDelta(allocate=(free, foreign)))
+    assert state() == before
+    os_.inventory.check()
 
 
 def test_tenant_threads_stay_inside_the_tenant_mask():

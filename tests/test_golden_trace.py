@@ -6,7 +6,9 @@ preserved *exactly*: the deterministic trace a figure harness exports is
 byte-identical before and after.  These tests pin that promise: fixture
 traces under ``tests/fixtures/golden/`` were recorded on the pre-refactor
 controller, and every run of fig07 / fig16 must still serialise to the
-same bytes.
+same bytes.  They must also hold under any ``PYTHONHASHSEED``: iterating
+a set or dict of strings on the event path would make the trace depend
+on the interpreter's hash seed.
 
 Regenerate (only when a trace change is *intended* and reviewed)::
 
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -25,7 +29,8 @@ from repro.experiments import (fig07_state_transitions,
                                fig16_migration_modes)
 from repro.sim.export import dump_records, load_records
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "fixtures" / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "fixtures" / "golden"
 
 #: harness parameters are part of the fixture contract; change them only
 #: together with a regeneration
@@ -68,20 +73,69 @@ def _check(records, fixture: pathlib.Path, tmp_path: pathlib.Path) -> None:
                     f"golden fixture ({detail})")
 
 
+def fig07_records():
+    return fig07_state_transitions.run(**FIG07_PARAMS).records
+
+
+def fig13_records():
+    _, records = fig13_scheduling.run_traced(**FIG13_PARAMS)
+    return records
+
+
+def fig16_records():
+    result = fig16_migration_modes.run(**FIG16_PARAMS)
+    return [r for cell in result.cells.values() for r in cell.records]
+
+
+#: golden fixture name -> the harness run that must reproduce it
+GOLDEN_RUNS = {
+    "fig07_trace.jsonl": fig07_records,
+    "fig13_trace.jsonl": fig13_records,
+    "fig16_trace.jsonl": fig16_records,
+}
+
+
 def test_fig07_trace_is_golden(tmp_path):
-    result = fig07_state_transitions.run(**FIG07_PARAMS)
-    assert result.records, "fig07 harness exported no records"
-    _check(result.records, GOLDEN_DIR / "fig07_trace.jsonl", tmp_path)
+    records = fig07_records()
+    assert records, "fig07 harness exported no records"
+    _check(records, GOLDEN_DIR / "fig07_trace.jsonl", tmp_path)
 
 
 def test_fig13_trace_is_golden(tmp_path):
-    _, records = fig13_scheduling.run_traced(**FIG13_PARAMS)
+    records = fig13_records()
     assert records, "fig13 harness exported no records"
     _check(records, GOLDEN_DIR / "fig13_trace.jsonl", tmp_path)
 
 
 def test_fig16_trace_is_golden(tmp_path):
-    result = fig16_migration_modes.run(**FIG16_PARAMS)
-    records = [r for cell in result.cells.values() for r in cell.records]
+    records = fig16_records()
     assert records, "fig16 harness exported no records"
     _check(records, GOLDEN_DIR / "fig16_trace.jsonl", tmp_path)
+
+
+#: run in a fresh interpreter: print each golden the traces diverge from
+_DIVERGED_SCRIPT = """
+import pathlib, tempfile
+from tests.test_golden_trace import GOLDEN_DIR, GOLDEN_RUNS, _trace_bytes
+with tempfile.TemporaryDirectory() as tmp:
+    for name, run in GOLDEN_RUNS.items():
+        exported = _trace_bytes(run(), pathlib.Path(tmp))
+        if exported != (GOLDEN_DIR / name).read_bytes():
+            print(name)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_golden_traces_hold_under_hash_seed(hash_seed):
+    # the hash seed is fixed at interpreter start, so each seed needs
+    # its own process; two seeds order a set of strings differently
+    path = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _DIVERGED_SCRIPT],
+                          cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], (
+        f"PYTHONHASHSEED={hash_seed}: traces diverged from "
+        f"{done.stdout.split()}")

@@ -129,6 +129,71 @@ def test_nan_reschedule_rejected_naming_value_and_callback(cancel):
     assert sim.run(max_events=5) == 0
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_infinite_delay_rejected_naming_value_and_callback(value):
+    # an infinite delay used to be delivered, leaving now = inf
+    sim = Simulator()
+    with pytest.raises(SimulationError, match=rf"_tick at delay={value}"):
+        sim.schedule(value, _tick)
+    assert sim.pending() == 0
+    assert sim.run(max_events=5) == 0
+    assert sim.now == 0.0
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_infinite_time_rejected_naming_value_and_callback(value):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match=rf"_tick at time={value}"):
+        sim.schedule_at(value, _tick)
+    assert sim.pending() == 0
+
+
+@pytest.mark.parametrize("cancel", [False, True])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_infinite_reschedule_rejected_naming_value_and_callback(value,
+                                                                cancel):
+    sim = Simulator()
+    event = sim.schedule(0.1, _tick)
+    if cancel:
+        sim.cancel(event)
+    sim.run_until_idle()
+    with pytest.raises(SimulationError, match=rf"_tick at delay={value}"):
+        sim.reschedule(event, value)
+    assert sim.pending() == 0
+    assert sim.run(max_events=5) == 0
+
+
+def test_run_until_before_now_is_rejected_naming_value():
+    # the clock used to rewind to the bound, so a later schedule could
+    # land before events that were already delivered
+    sim = Simulator()
+    sim.schedule(2.0, _tick)
+    sim.run(until=2.0)
+    with pytest.raises(SimulationError, match=r"until=0\.5"):
+        sim.run(until=0.5)
+    assert sim.now == 2.0
+    event = sim.schedule(0.1, _tick)
+    assert event.time == pytest.approx(2.1)
+
+
+def test_run_until_nan_is_rejected():
+    # a NaN bound fails every comparison, so run() ignored it
+    sim = Simulator()
+    sim.schedule(1.0, _tick)
+    with pytest.raises(SimulationError, match=r"until=nan"):
+        sim.run(until=float("nan"))
+    assert sim.pending() == 1
+    assert sim.now == 0.0
+
+
+def test_run_until_now_is_a_no_op():
+    sim = Simulator()
+    sim.schedule(1.0, _tick)
+    sim.run(until=1.0)
+    assert sim.run(until=1.0) == 0
+    assert sim.now == 1.0
+
+
 def test_pending_counts_live_events():
     sim = Simulator()
     e1 = sim.schedule(0.1, lambda: None)

@@ -15,7 +15,14 @@ import random
 import numpy as np
 import pytest
 
+from repro.config import ControllerConfig
+from repro.core import ElasticController, make_mode
+from repro.core.strategies import CpuLoadStrategy
 from repro.errors import SimulationError
+from repro.hardware.prebuilt import small_numa
+from repro.opsys.system import OperatingSystem
+from repro.opsys.thread import reset_thread_ids
+from repro.opsys.workitem import ListWorkSource, WorkItem
 from repro.sim.engine import _COMPACT_MIN_DEAD, Simulator
 from repro.sim.state import (SimState, register_global_state,
                              registered_globals)
@@ -333,3 +340,43 @@ def test_forked_queue_keeps_sequence_continuity():
     fork_log = harness.log
     assert fork_log == base.log
     assert [tag for tag, _, _ in fork_log] == [0, 1]
+
+
+# ---------------------------------------------------------------------
+# whole systems
+
+
+def _two_tenant_system():
+    """Two tenants, each behind its own controller, with queued scans."""
+    reset_thread_ids()
+    os_ = OperatingSystem(small_numa())
+    for node, tenant in enumerate(("left", "right")):
+        os_.create_tenant(tenant)
+        ElasticController(
+            os_, make_mode("dense", os_.topology), CpuLoadStrategy(),
+            ControllerConfig(), tenant=tenant).start()
+        for _ in range(2):
+            pages = list(os_.machine.memory.allocate(64))
+            for page in pages:
+                os_.machine.memory.place(page, node)
+            os_.spawn_thread(ListWorkSource(
+                [WorkItem("scan", reads=pages, cycles=5e8)]),
+                tenant=tenant)
+    return os_
+
+
+def test_two_tenant_system_with_controllers_round_trips():
+    # every callback a tenant's cpuset, scheduler mask and controller
+    # leave in the graph must pickle, or warm-start forking of a
+    # multi-tenant system fails at capture
+    cold = _two_tenant_system()
+    cold.run_until_idle()
+
+    warm = _two_tenant_system()
+    warm.run(until=0.05)
+    assert warm.sim.pending()
+    fork = SimState.capture(warm).restore()
+    fork.run_until_idle()
+    assert fork.tracer.all() == cold.tracer.all()
+    assert fork.inventory.leases() == cold.inventory.leases()
+    assert fork.now == cold.now
