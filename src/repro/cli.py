@@ -197,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-total", type=int, default=16,
                         help="machine core count (default 16)")
     verify.add_argument("--min-cores", type=int, default=1)
-    verify.add_argument("--initial-cores", type=int, default=1)
+    verify.add_argument("--initial-cores", type=int, default=None,
+                        help="cores held at start (default: --min-cores)")
     verify.add_argument("--grid", type=int, default=101,
                         help="uniform metric probes on top of the "
                              "breakpoints (default 101)")
@@ -464,6 +465,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     else:
         names = (list(_VERIFY_STRATEGIES) if args.strategy == "all"
                  else [args.strategy])
+        initial_cores = (args.min_cores if args.initial_cores is None
+                         else args.initial_cores)
         for name in names:
             th_min, th_max, domain = _VERIFY_STRATEGIES[name]
             if args.th_min is not None:
@@ -473,7 +476,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             subject = (f"{name}(th_min={th_min}, th_max={th_max}, "
                        f"n_total={args.n_total})")
             defects = preflight_defects(
-                th_min, th_max, args.min_cores, args.initial_cores,
+                th_min, th_max, args.min_cores, initial_cores,
                 args.n_total)
             if defects:
                 report = VerificationReport(subject=subject)
@@ -484,7 +487,7 @@ def _run_verify(args: argparse.Namespace) -> int:
                 continue
             model = PerformanceModel(
                 th_min, th_max, args.n_total, n_min=args.min_cores,
-                initial_cores=args.initial_cores)
+                initial_cores=initial_cores)
             if domain is not None:
                 model.metric_domain = domain
             reports.append(verify_performance_model(

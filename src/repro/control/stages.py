@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
-from ..errors import AllocationError, LeaseError
+from ..errors import AllocationError
 from ..opsys.inventory import DEFAULT_TENANT
 from ..sim.tracing import CoreAllocation
 
@@ -245,9 +245,10 @@ class LeaseActuator:
     core is not held by another tenant and updates the tenant's cpuset —
     the mask the scheduler enforces.  Each applied core emits the same
     :class:`~repro.sim.tracing.CoreAllocation` record the pre-refactor
-    controller emitted, in the same order.  An allocation's records are
-    emitted only once every core in it is leased, so a rejected delta
-    leaves no allocation record behind.
+    controller emitted, in the same order.  Every core of an allocation
+    is checked before the first is leased: leasing a core runs the
+    scheduler's mask listener, which may move a thread at once, so a
+    rejected delta must be refused before it touches anything.
     """
 
     def __init__(self, os: "OperatingSystem", tenant: str = DEFAULT_TENANT):
@@ -262,17 +263,11 @@ class LeaseActuator:
             self._trace(core, allocated=True)
 
     def apply(self, delta: CoreDelta) -> CoreDelta:
+        self.inventory.check_free(delta.allocate)
         granted: list[CoreAllocation] = []
-        try:
-            for core in delta.allocate:
-                self.inventory.acquire(self.tenant, core)
-                granted.append(self._record(core, allocated=True))
-        except LeaseError:
-            # roll back the partial acquisition so a rejected delta
-            # leaves the leases and the allocation records as they were
-            for record in reversed(granted):
-                self.inventory.release(self.tenant, record.core_id)
-            raise
+        for core in delta.allocate:
+            self.inventory.acquire(self.tenant, core)
+            granted.append(self._record(core, allocated=True))
         for record in granted:
             self.os.tracer.emit(record)
         for core in delta.release:

@@ -238,6 +238,14 @@ def test_verify_inverted_thresholds_reported_not_crashed(capsys):
     assert "thresholds inverted" in capsys.readouterr().out
 
 
+def test_verify_initial_cores_defaults_to_min_cores(capsys):
+    assert main(["verify", "--th-min", "20", "--th-max", "60",
+                 "--min-cores", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "initial_cores" not in out
+    assert "verification passed" in out
+
+
 def test_verify_missing_fixture_is_an_error(capsys):
     assert main(["verify", "--fixture", "/does/not/exist.py"]) == 2
     assert "not found" in capsys.readouterr().err

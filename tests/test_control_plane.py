@@ -20,7 +20,7 @@ from repro.errors import AllocationError, LeaseError, SchedulerError
 from repro.hardware.prebuilt import small_numa
 from repro.opsys.system import OperatingSystem
 from repro.opsys.workitem import ListWorkSource, WorkItem
-from repro.sim.tracing import CoreAllocation
+from repro.sim.tracing import CoreAllocation, MigrationRecord
 
 
 def make_controller(mode="dense", keepalive=False, tenant=None, os_=None,
@@ -260,9 +260,9 @@ def test_two_controllers_hold_disjoint_leases():
 
 
 def test_rejected_allocation_rolls_back_leases_masks_and_trace():
-    # the free core is leased before the foreign one is refused: the
-    # rollback must hand it back, or tenant "a" keeps a core it was
-    # never granted and "b"'s planner sees it as foreign
+    # the free core comes before the foreign one: a rejected delta must
+    # leave it unleased, or tenant "a" keeps a core it was never
+    # granted and "b"'s planner sees it as foreign
     os_ = OperatingSystem(small_numa())
     for tenant, cores in (("a", [0]), ("b", [1])):
         os_.create_tenant(tenant)
@@ -278,6 +278,26 @@ def test_rejected_allocation_rolls_back_leases_masks_and_trace():
     with pytest.raises(LeaseError, match="already leased"):
         actuator.apply(CoreDelta(allocate=(free, foreign)))
     assert state() == before
+    os_.inventory.check()
+
+
+@pytest.mark.parametrize("allocate", [(2, 1), (2, 2)])
+def test_rejected_allocation_moves_no_thread(allocate):
+    # acquiring a core runs the scheduler's mask listener, which steals
+    # a queued thread onto it at once; a delta that is refused later
+    # must therefore be refused before its first core is leased
+    os_ = OperatingSystem(small_numa())
+    for tenant, cores in (("a", [0]), ("b", [1])):
+        os_.create_tenant(tenant)
+        LeaseActuator(os_, tenant=tenant).seed(cores)
+    threads = [os_.spawn_thread(scan_source(os_), tenant="a")
+               for _ in range(3)]
+    actuator = LeaseActuator(os_, tenant="a")
+    with pytest.raises(LeaseError, match="already leased|twice"):
+        actuator.apply(CoreDelta(allocate=allocate))
+    assert not [m for m in os_.tracer.of(MigrationRecord)
+                if m.dst_core == 2]
+    assert {t.core for t in threads if t.core is not None} <= {0}
     os_.inventory.check()
 
 

@@ -33,7 +33,7 @@ def test_pending_tracks_schedule_cancel_and_delivery():
     # double-cancel is a no-op, exactly like the seed's flag write
     sim.cancel(events[2])
     assert sim.pending() == 4
-    assert sim.step()
+    assert sim.run(max_events=1) == 1
     assert sim.pending() == 3
     sim.run()
     assert sim.pending() == 0
@@ -43,7 +43,7 @@ def test_cancel_after_delivery_is_a_noop():
     sim = Simulator()
     event = sim.schedule(0.1, lambda: None)
     sim.schedule(0.2, lambda: None)
-    assert sim.step()
+    assert sim.run(max_events=1) == 1
     # the seed popped the event off the heap, so a late cancel never
     # affected pending(); the counter must behave the same
     sim.cancel(event)

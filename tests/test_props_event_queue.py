@@ -1,15 +1,14 @@
-"""Property tests: the tiered calendar queue vs the seed's global heap.
+"""Property tests: the event queue vs a reference global heap.
 
-The simulator's event core (:mod:`repro.sim.engine`) replaced a single
-binary heap with a two-tier calendar queue (near-time buckets batch-
-dequeued per timestamp + a far-future heap).  Its contract is that
+The simulator's event core (:mod:`repro.sim.engine`) promises that
 delivery order, tie-breaking, lazy-cancel/reschedule/revive semantics
-and the ``until``/``max_events`` edge cases are **bit-identical** to the
-seed implementation.  :class:`ReferenceSimulator` below is a straight
-reimplementation of the seed loop — one global ``(time, seq)`` heap,
-lazy cancellation, no tiers, no batching — and Hypothesis drives both
-engines through the same randomised command scripts, comparing the full
-delivery logs, clocks and counters after every run.
+and the ``until``/``max_events`` edge cases match the seed
+implementation exactly, and that compaction (which may now run inside
+the dispatch loop) never reorders anything.  :class:`ReferenceSimulator`
+below is a straight reimplementation of the seed loop — one global
+``(time, seq)`` heap, lazy cancellation, no compaction — and Hypothesis
+drives both engines through the same randomised command scripts,
+comparing the full delivery logs, clocks and counters after every run.
 
 ``tests/test_props_sim_fastpath.py`` covers the domain layers on top;
 this file pins the queue kernel itself.
@@ -19,10 +18,10 @@ from __future__ import annotations
 
 import heapq
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import _COMPACT_MIN_DEAD, _NEAR_SPAN, Simulator
+from repro.sim.engine import _COMPACT_MIN_DEAD, Simulator
 
 
 class _RefEvent:
@@ -119,9 +118,9 @@ class _Callback:
     """Deterministic callback: logs, and low tags spawn one child.
 
     The spawned child lands at an already-queued timestamp often enough
-    to exercise the live-bucket append (events scheduled *during* a
-    same-timestamp batch must be delivered inside that batch, in seq
-    order — the contract the calendar queue's batch dispatch must keep).
+    to exercise same-time scheduling from a callback (a zero-delay
+    child must be delivered before the clock moves, after everything
+    already queued at that time).
     """
 
     def __init__(self, sim, log, tag):
@@ -137,12 +136,34 @@ class _Callback:
                 self.sim, self.log, self.tag + 1000))
 
 
-#: delays chosen to collide on exact timestamps (same-time batches) and
-#: to straddle the near-tier horizon (events beyond ``_NEAR_SPAN`` take
-#: the far heap and must migrate back without reordering)
+class _Purge:
+    """Mid-run mass cancel: logs, then schedules a burst and cancels
+    three quarters of it from inside the callback.
+
+    The burst alone crosses ``_COMPACT_MIN_DEAD`` while :meth:`run` is
+    dispatching, so the queue compacts under the live loop.  Burst
+    events carry tags ``>= 10_000`` and spawn no children.
+    """
+
+    def __init__(self, sim, log, tag):
+        self.sim = sim
+        self.log = log
+        self.tag = tag
+
+    def __call__(self):
+        self.log.append((self.sim.now, self.tag))
+        burst = [self.sim.schedule(0.001 * (i % 5), _Callback(
+                     self.sim, self.log, 10_000 * self.tag + i))
+                 for i in range(2 * _COMPACT_MIN_DEAD)]
+        for i, event in enumerate(burst):
+            if i % 4:
+                self.sim.cancel(event)
+
+
+#: delays chosen to collide on exact timestamps and to mix near-future
+#: events with ones seconds out
 _DELAYS = st.sampled_from(
-    [0.0, 0.001, 0.002, 0.004, 0.0499, _NEAR_SPAN, 0.0501,
-     0.12, 0.7, 2.5])
+    [0.0, 0.001, 0.002, 0.004, 0.0499, 0.05, 0.0501, 0.12, 0.7, 2.5])
 
 _COMMANDS = st.lists(
     st.one_of(
@@ -152,6 +173,7 @@ _COMMANDS = st.lists(
         st.tuples(st.just("run_until"), _DELAYS),
         st.tuples(st.just("run_capped"), st.integers(0, 5)),
         st.tuples(st.just("drain"),),
+        st.tuples(st.just("purge"), _DELAYS),
     ),
     min_size=1, max_size=60)
 
@@ -167,6 +189,9 @@ def _interpret(sim, log, commands):
             tag += 1
             events.append(sim.schedule(command[1],
                                        _Callback(sim, log, tag)))
+        elif op == "purge":
+            tag += 1
+            events.append(sim.schedule(command[1], _Purge(sim, log, tag)))
         elif op == "cancel":
             if events:
                 sim.cancel(events[command[1] % len(events)])
@@ -187,7 +212,10 @@ def _interpret(sim, log, commands):
 
 @settings(max_examples=200, deadline=None)
 @given(commands=_COMMANDS)
-def test_calendar_queue_matches_reference_heap(commands):
+# two purges in one instant: the queue compacts inside run() twice
+@example(commands=[("schedule", 0.0), ("purge", 0.001), ("schedule", 0.002),
+                   ("purge", 0.002), ("run_capped", 3), ("drain",)])
+def test_event_queue_matches_reference_heap(commands):
     real, ref = Simulator(), ReferenceSimulator()
     real_log, ref_log = [], []
     real_tallies = _interpret(real, real_log, commands)

@@ -133,14 +133,14 @@ def test_delivery_matches_reference(program, until, max_events):
 @settings(max_examples=200, deadline=None)
 @given(program=_programs)
 def test_interleaved_stepping_matches_reference(program):
-    """step()/pending() agree after every single delivery."""
+    """pending() and the clock agree after every single delivery."""
     ref, ref_log = ReferenceSimulator(), []
     fast, fast_log = Simulator(), []
     _replay(ref, program, ref_log)
     _replay(fast, program, fast_log)
     while True:
         ref_more = ref.step()
-        fast_more = fast.step()
+        fast_more = fast.run(max_events=1) == 1
         assert fast_more == ref_more
         assert fast_log == ref_log
         assert fast.pending() == ref.pending()

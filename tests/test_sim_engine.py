@@ -98,8 +98,8 @@ def _tick():
 
 
 def test_nan_delay_rejected_naming_value_and_callback():
-    # a NaN delay used to be queued on the far tier, turning the horizon
-    # into NaN so that run() spun forever, even under max_events
+    # a NaN key compares false against everything, so once queued it
+    # would break the heap order; it is refused at schedule time
     sim = Simulator()
     with pytest.raises(SimulationError, match=r"_tick at delay=nan"):
         sim.schedule(float("nan"), _tick)
@@ -203,12 +203,13 @@ def test_pending_counts_live_events():
     assert sim.pending() == 1
 
 
-def test_peek_time_skips_cancelled():
+def test_single_event_run_skips_cancelled_head():
     sim = Simulator()
     e1 = sim.schedule(0.1, lambda: None)
     sim.schedule(0.2, lambda: None)
     sim.cancel(e1)
-    assert sim.peek_time() == pytest.approx(0.2)
+    assert sim.run(max_events=1) == 1
+    assert sim.now == pytest.approx(0.2)
 
 
 def test_max_events_bounds_delivery():
@@ -219,6 +220,7 @@ def test_max_events_bounds_delivery():
     assert sim.pending() == 6
 
 
-def test_step_returns_false_when_empty():
+def test_run_on_empty_queue_delivers_nothing():
     sim = Simulator()
-    assert sim.step() is False
+    assert sim.run(max_events=1) == 0
+    assert sim.now == 0.0

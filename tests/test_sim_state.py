@@ -292,25 +292,25 @@ def test_pending_stays_exact_through_cancel_compact_deliver():
 
 
 # ---------------------------------------------------------------------
-# calendar queue state through snapshot/fork
+# event queue state through snapshot/fork
 
 
-def test_populated_calendar_queue_round_trips():
-    """Both tiers — near buckets and the far heap — survive capture.
+def test_populated_event_queue_round_trips():
+    """A queue holding near and far events and dead cells survives capture.
 
-    The warm-up prefix of a sweep leaves events straddling the horizon:
-    same-timestamp bucket batches just ahead of ``now`` and far-future
-    think-time events beyond it.  A fork must drain them in exactly the
-    order the uninterrupted run would.
+    The warm-up prefix of a sweep leaves same-timestamp events just
+    ahead of ``now`` and far-future think-time events well beyond it.
+    A fork must drain them in exactly the order the uninterrupted run
+    would.
     """
     base = _Harness()
-    # near tier: clustered, with exact-timestamp collisions
+    # near future: clustered, with exact-timestamp collisions
     for i in range(6):
         base.sim.schedule(0.001 * (i % 3), _Append(base, i))
-    # far tier: beyond the default horizon
+    # far future
     for i in range(6, 12):
         base.sim.schedule(10.0 + 0.5 * (i % 4), _Append(base, i))
-    # a dead cell queued in each tier must stay dead in the fork
+    # a dead cell queued near and one far must stay dead in the fork
     base.sim.cancel(base.sim.schedule(0.002, _Append(base, 97)))
     base.sim.cancel(base.sim.schedule(11.0, _Append(base, 98)))
 
