@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Two elastic controllers governing one machine, side by side.
 
-The control-plane decomposition turns the paper's single mechanism into
-four stages behind interfaces; the actuator holds *core leases* against
-a machine-wide inventory instead of writing the one cpuset directly.
+Each controller holds *core leases* against a machine-wide inventory
+instead of writing the one cpuset directly, and places its cores around
+the ones the other tenant holds.
 This demo runs two tenants — the MonetDB-like Volcano engine and the
 SQL Server-like NUMA-aware engine — each under its own controller, on
 one simulated Opteron 8387, and shows:

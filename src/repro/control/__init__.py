@@ -1,30 +1,15 @@
-"""The staged control plane: Sense -> Decide -> Plan -> Actuate.
+"""Core placement and leasing for the elastic controller.
 
-See :mod:`repro.control.stages` for the stage interfaces and default
-implementations, and :mod:`repro.control.actuators` for the dry-run and
-cooldown actuator decorators.  ``docs/control_plane.md`` has the full
-stage diagram and the core-lease semantics.
+See :mod:`repro.control.stages` for the planner and the lease actuator;
+``docs/control_plane.md`` has the controller's loop and the core-lease
+semantics.
 """
 
-from .actuators import CooldownActuator, DryRunActuator
-from .stages import (NO_CHANGE, Actuator, CoreDelta, CoreView,
-                     DecisionPolicy, LeaseActuator, ModelPolicy,
-                     ModePlanner, MonitorSensor, Planner, Sensor,
-                     single_step)
+from .stages import NO_CHANGE, CoreDelta, LeaseActuator, ModePlanner
 
 __all__ = [
-    "Actuator",
-    "CooldownActuator",
     "CoreDelta",
-    "CoreView",
-    "DecisionPolicy",
-    "DryRunActuator",
     "LeaseActuator",
-    "ModelPolicy",
     "ModePlanner",
-    "MonitorSensor",
     "NO_CHANGE",
-    "Planner",
-    "Sensor",
-    "single_step",
 ]

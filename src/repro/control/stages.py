@@ -1,49 +1,31 @@
-"""The four stages of the control plane: Sense -> Decide -> Plan -> Actuate.
+"""Where the controller's cores go: planning and leasing them.
 
-The paper's rule-condition-action pipeline (§III) maps onto four small
-interfaces:
+The :class:`~repro.core.controller.ElasticController` runs the paper's
+rule-condition-action loop (§III).  Once the PrT net has fired an
+abstract ``allocate``/``release`` action, two pieces turn it into a
+cpuset edit:
 
-``Sensor``
-    *rule* — observe the machine and produce a
-    :class:`~repro.core.monitor.MonitorSample`
-    (:class:`MonitorSensor` wraps the mpstat/likwid stand-in).
-``DecisionPolicy``
-    *condition* — reduce the sample to the strategy's metric and classify
-    it through the PrT net (:class:`ModelPolicy` wraps
-    :class:`~repro.core.model.PerformanceModel` +
-    :class:`~repro.core.strategies.TransitionStrategy`).
-``Planner``
-    *where* — turn the abstract ``allocate``/``release`` action into a
-    concrete :class:`CoreDelta` naming cores (:class:`ModePlanner` wraps
-    an :class:`~repro.core.modes.AllocationMode`).
-``Actuator``
-    *apply* — enact the delta against the machine
-    (:class:`LeaseActuator` goes through the
-    :class:`~repro.opsys.inventory.CoreInventory`; the decorators in
-    :mod:`repro.control.actuators` add dry-run and cooldown behaviour).
+* :class:`ModePlanner` names the core, as a :class:`CoreDelta`, with an
+  :class:`~repro.core.modes.AllocationMode`;
+* :class:`LeaseActuator` enacts the delta as core leases through the
+  system's :class:`~repro.opsys.inventory.CoreInventory`.
 
-The :class:`~repro.core.controller.ElasticController` is a thin
-composition of one instance of each.  Stages communicate through values
-(sample, metric, chain, delta), never by reaching into each other — which
-is what lets two controllers share one machine: each one's planner sees
-the cores *other* tenants hold (:meth:`CoreView.foreign`) and plans
-around them, and each one's actuator edits only its own tenant's leases.
+This is what lets two controllers share one machine: each one's planner
+sees the cores *other* tenants hold (:meth:`LeaseActuator.foreign`) and
+plans around them, and each one's actuator edits only its own tenant's
+leases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
-from ..errors import AllocationError
 from ..opsys.inventory import DEFAULT_TENANT
 from ..sim.tracing import CoreAllocation
 
 if TYPE_CHECKING:
-    from ..core.model import PerformanceModel, TransitionChain
     from ..core.modes import AllocationMode
-    from ..core.monitor import Monitor, MonitorSample
-    from ..core.strategies import TransitionStrategy
     from ..opsys.inventory import CoreInventory
     from ..opsys.system import OperatingSystem
 
@@ -72,148 +54,27 @@ class CoreDelta:
 NO_CHANGE = CoreDelta()
 
 
-# ----------------------------------------------------------------------
-# stage interfaces
-# ----------------------------------------------------------------------
-
-class Sensor(Protocol):
-    """Stage 1 — observe the machine."""
-
-    def prime(self) -> None:
-        """Take initial snapshots without producing a sample."""
-        ...
-
-    def sense(self) -> "MonitorSample":
-        """Observe the window since the previous call."""
-        ...
-
-
-class DecisionPolicy(Protocol):
-    """Stage 2 — classify an observation into a transition chain."""
-
-    def metric(self, sample: "MonitorSample") -> float:
-        """Reduce a sample to the scalar the model consumes."""
-        ...
-
-    def classify(self, metric: float) -> "TransitionChain":
-        """Fire the model once and report the chain."""
-        ...
-
-
-class Planner(Protocol):
-    """Stage 3 — turn an abstract action into concrete cores."""
-
-    def refresh(self) -> None:
-        """Update placement inputs (e.g. the node priority queue)."""
-        ...
-
-    def initial_mask(self, n_cores: int) -> list[int]:
-        """The cores to seed a fresh controller with."""
-        ...
-
-    def plan(self, action: str | None) -> CoreDelta:
-        """Name the cores for ``"allocate"`` / ``"release"`` / ``None``."""
-        ...
-
-
-class CoreView(Protocol):
-    """What a planner may know about core ownership."""
-
-    def own(self) -> frozenset[int]:
-        """Cores this tenant currently holds."""
-        ...
-
-    def foreign(self) -> frozenset[int]:
-        """Cores held by other tenants (off-limits for planning)."""
-        ...
-
-
-class Actuator(Protocol):
-    """Stage 4 — enact a delta (also a :class:`CoreView` for planners)."""
-
-    def seed(self, cores: list[int]) -> None:
-        """Apply the initial mask in one atomic edit."""
-        ...
-
-    def apply(self, delta: CoreDelta) -> CoreDelta:
-        """Enact ``delta``; return the part that actually took effect."""
-        ...
-
-    def own(self) -> frozenset[int]: ...
-
-    def foreign(self) -> frozenset[int]: ...
-
-    @property
-    def n_allocated(self) -> int:
-        """Cores this actuator considers held."""
-        ...
-
-
-# ----------------------------------------------------------------------
-# default implementations
-# ----------------------------------------------------------------------
-
-class MonitorSensor:
-    """Stage 1 default: delegate to a :class:`~repro.core.monitor.Monitor`."""
-
-    def __init__(self, monitor: "Monitor"):
-        self.monitor = monitor
-
-    def prime(self) -> None:
-        self.monitor.prime()
-
-    def sense(self) -> "MonitorSample":
-        return self.monitor.sample()
-
-
-class ModelPolicy:
-    """Stage 2 default: strategy metric + PrT-net classification."""
-
-    def __init__(self, model: "PerformanceModel",
-                 strategy: "TransitionStrategy"):
-        self.model = model
-        self.strategy = strategy
-
-    def metric(self, sample: "MonitorSample") -> float:
-        return self.strategy.metric(sample)
-
-    def classify(self, metric: float) -> "TransitionChain":
-        return self.model.run_cycle(metric)
-
-
 class ModePlanner:
-    """Stage 3 default: place cores with an allocation mode.
+    """Place cores with an allocation mode.
 
-    The planner consults a :class:`CoreView` (in practice the actuator)
-    for current holdings, and — unlike the pre-refactor controller —
-    feeds the mode the *union* of the tenant's own cores and everything
-    foreign, so the next allocation never lands on a core another tenant
-    holds.  With a single tenant the foreign set is empty and the mode
-    sees exactly what it used to.
+    The planner asks its view (in practice the :class:`LeaseActuator`)
+    for the tenant's own cores and the foreign ones, and feeds the mode
+    their *union*, so the next allocation never lands on a core another
+    tenant holds.  With a single tenant the foreign set is empty and the
+    mode sees only the tenant's own cores.  A plan names at most one
+    core: the paper moves one core per tick.
     """
 
-    def __init__(self, mode: "AllocationMode", view: CoreView,
+    def __init__(self, mode: "AllocationMode", view: "LeaseActuator",
                  n_cores: int):
         self.mode = mode
         self.view = view
         self.n_cores = n_cores
-        self._refresh_hook = None
-
-    def set_refresh(self, hook) -> None:
-        """Install the priority-queue update (adaptive mode only)."""
-        self._refresh_hook = hook
-
-    def refresh(self) -> None:
-        if self._refresh_hook is not None:
-            self._refresh_hook()
 
     def initial_mask(self, n_cores: int) -> list[int]:
-        foreign = self.view.foreign()
-        if not foreign:
-            return self.mode.initial_mask(n_cores)
-        # grow from empty, skipping foreign leases
+        """The cores to seed a fresh controller with, skipping foreign."""
         mask: list[int] = []
-        taken = set(foreign)
+        taken = set(self.view.foreign())
         for _ in range(n_cores):
             core = self.mode.next_allocation(frozenset(taken))
             taken.add(core)
@@ -221,6 +82,7 @@ class ModePlanner:
         return mask
 
     def plan(self, action: str | None) -> CoreDelta:
+        """Name the core for ``"allocate"`` / ``"release"`` / ``None``."""
         if action == "allocate":
             own = self.view.own()
             blocked = own | self.view.foreign()
@@ -238,17 +100,16 @@ class ModePlanner:
 
 
 class LeaseActuator:
-    """Stage 4 default: apply deltas as core leases.
+    """Apply deltas as core leases.
 
     Every edit goes through the system's
     :class:`~repro.opsys.inventory.CoreInventory`, which guarantees the
     core is not held by another tenant and updates the tenant's cpuset —
-    the mask the scheduler enforces.  Each applied core emits the same
-    :class:`~repro.sim.tracing.CoreAllocation` record the pre-refactor
-    controller emitted, in the same order.  Every core of an allocation
-    is checked before the first is leased: leasing a core runs the
-    scheduler's mask listener, which may move a thread at once, so a
-    rejected delta must be refused before it touches anything.
+    the mask the scheduler enforces.  Each applied core emits one
+    :class:`~repro.sim.tracing.CoreAllocation` record.  Every core of an
+    allocation is checked before the first is leased: leasing a core
+    runs the scheduler's mask listener, which may move a thread at once,
+    so a rejected delta must be refused before it touches anything.
     """
 
     def __init__(self, os: "OperatingSystem", tenant: str = DEFAULT_TENANT):
@@ -258,11 +119,13 @@ class LeaseActuator:
         self.cpuset = self.inventory.cpuset_of(tenant)
 
     def seed(self, cores: list[int]) -> None:
+        """Lease the initial mask in one atomic edit."""
         self.inventory.seed(self.tenant, cores)
         for core in cores:
             self._trace(core, allocated=True)
 
-    def apply(self, delta: CoreDelta) -> CoreDelta:
+    def apply(self, delta: CoreDelta) -> None:
+        """Enact ``delta``; a refused allocation changes nothing."""
         self.inventory.check_free(delta.allocate)
         granted: list[CoreAllocation] = []
         for core in delta.allocate:
@@ -271,16 +134,18 @@ class LeaseActuator:
         for record in granted:
             self.os.tracer.emit(record)
         for core in delta.release:
-            # a failed release keeps that core leased; the next Sense
-            # re-syncs the model from the cpuset, so nothing dangles
+            # under a controller the model's release guard keeps the
+            # tenant above its min_cores, which start() refuses below
+            # the inventory's floor, so the inventory never refuses this
             self.inventory.release(self.tenant, core)
             self._trace(core, allocated=False)
-        return delta
 
     def own(self) -> frozenset[int]:
+        """Cores this tenant currently holds."""
         return self.cpuset.allowed()
 
     def foreign(self) -> frozenset[int]:
+        """Cores other tenants hold (off-limits for planning)."""
         return self.inventory.unavailable_to(self.tenant)
 
     @property
@@ -296,10 +161,3 @@ class LeaseActuator:
     def _trace(self, core: int, allocated: bool) -> None:
         self.os.tracer.emit(self._record(core, allocated))
 
-
-def single_step(delta: CoreDelta) -> CoreDelta:
-    """Guard: the pipeline plans at most one core per tick (paper §III)."""
-    if len(delta.allocate) + len(delta.release) > 1:
-        raise AllocationError(
-            f"the control plane moves one core per tick, got {delta}")
-    return delta

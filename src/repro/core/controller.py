@@ -1,24 +1,19 @@
-"""The elastic controller: the rule-condition-action pipeline (paper §III).
+"""The elastic controller: the rule-condition-action loop (paper §III).
 
 One instance governs one tenant (one DBMS cgroup).  Every ``interval``
-seconds of simulated time it runs the staged control plane of
-:mod:`repro.control`:
+seconds of simulated time it runs one pass:
 
-1. **Sense** — the :class:`~repro.control.MonitorSensor` samples the
-   monitor (mpstat/likwid stand-in);
-2. **Decide** — the :class:`~repro.control.ModelPolicy` extracts the
-   strategy's metric, deposits it into the PrT model's ``Checks`` place
-   and fires transitions until the token returns;
-3. **Plan** — the :class:`~repro.control.ModePlanner` turns the fired
-   ``t5``/``t4`` action into a concrete
-   :class:`~repro.control.CoreDelta` on the node the allocation mode
-   names, avoiding cores other tenants hold;
-4. **Actuate** — the :class:`~repro.control.LeaseActuator` applies the
+1. **sample** — the :class:`~repro.core.monitor.Monitor` (mpstat/likwid
+   stand-in) observes the window since the previous pass;
+2. **decide** — the strategy reduces the sample to its metric, which is
+   deposited into the PrT model's ``Checks`` place; transitions fire
+   until the token returns;
+3. **plan** — the :class:`~repro.control.ModePlanner` turns the fired
+   ``t5``/``t4`` action into a :class:`~repro.control.CoreDelta` naming
+   the core the allocation mode picks, avoiding cores other tenants hold;
+4. **apply** — the :class:`~repro.control.LeaseActuator` enacts the
    delta through the system's core-lease inventory; the cpuset edit is
-   what the OS scheduler sees.  ``dry_run=True`` swaps in a
-   :class:`~repro.control.DryRunActuator` (plans recorded, machine
-   untouched) and ``cooldown_ticks`` wraps the actuator in a
-   :class:`~repro.control.CooldownActuator` (hysteresis after a change).
+   what the OS scheduler sees.
 
 The controller keeps ticking while database threads are live and parks
 itself otherwise (restart with :meth:`kick` when a new workload begins, or
@@ -29,10 +24,7 @@ Lifecycle is an explicit state machine: ``new -> running -> stopped``.
 from __future__ import annotations
 
 from ..config import ControllerConfig, preflight_defects
-from ..control.actuators import CooldownActuator, DryRunActuator
-from ..control.stages import (Actuator, DecisionPolicy, LeaseActuator,
-                              ModelPolicy, ModePlanner, MonitorSensor,
-                              Planner, Sensor, single_step)
+from ..control.stages import LeaseActuator, ModePlanner
 from ..errors import AllocationError, ModelConfigurationError
 from ..obs.metrics import VALUE_BUCKETS
 from ..obs.provenance import Decision
@@ -53,12 +45,7 @@ class ElasticController:
                  strategy: TransitionStrategy,
                  config: ControllerConfig | None = None,
                  keepalive: bool = False, verify_model: bool = False,
-                 tenant: str = DEFAULT_TENANT, dry_run: bool = False,
-                 cooldown_ticks: int = 0,
-                 sensor: Sensor | None = None,
-                 policy: DecisionPolicy | None = None,
-                 planner: Planner | None = None,
-                 actuator: Actuator | None = None):
+                 tenant: str = DEFAULT_TENANT):
         self.os = os
         self.mode = mode
         self.strategy = strategy
@@ -70,6 +57,13 @@ class ElasticController:
         self._defects = preflight_defects(
             strategy.th_min, strategy.th_max, self.config.min_cores,
             self.config.initial_cores, os.topology.n_cores)
+        floor = os.inventory.min_cores_of(tenant)
+        if self.config.min_cores < floor:
+            # the model would release down to min_cores, and the
+            # inventory would refuse that release at its floor mid-run
+            self._defects.append(
+                f"min_cores={self.config.min_cores} below tenant "
+                f"{tenant!r}'s lease floor min_cores={floor}")
         self.model: PerformanceModel | None
         if self._defects:
             self.model = None
@@ -84,29 +78,13 @@ class ElasticController:
         self.ticks = 0
         self._lifecycle = "new"
         self._tick_scheduled = False
-        # --- the four stages (injectable for tests and extensions) ---
-        if actuator is None:
-            if dry_run:
-                actuator = DryRunActuator(os, tenant)
-            else:
-                actuator = LeaseActuator(os, tenant)
-            if cooldown_ticks > 0:
-                actuator = CooldownActuator(actuator, cooldown_ticks)
-        self.actuator: Actuator = actuator
+        self.actuator = LeaseActuator(os, tenant)
         if tenant == DEFAULT_TENANT:
             self.monitor = Monitor(os)
         else:
             self.monitor = Monitor(
                 os, cpuset=os.inventory.cpuset_of(tenant), tenant=tenant)
-        self.sensor: Sensor = sensor or MonitorSensor(self.monitor)
-        if policy is None and self.model is not None:
-            policy = ModelPolicy(self.model, strategy)
-        self._policy = policy
-        if planner is None:
-            planner = ModePlanner(mode, self.actuator,
-                                  os.topology.n_cores)
-            planner.set_refresh(self._refresh_priority)
-        self.planner: Planner = planner
+        self.planner = ModePlanner(mode, self.actuator, os.topology.n_cores)
         # telemetry: instruments bound once; all no-ops when the
         # system's recorder is the null one.  The default tenant keeps
         # the legacy names; other tenants get their own namespace.
@@ -125,14 +103,6 @@ class ElasticController:
             name: metrics.counter(f"petrinet.{infix}fired.{name}")
             for name in ("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7")}
 
-    @property
-    def policy(self) -> DecisionPolicy:
-        """Stage 2 (absent only while the config is defective)."""
-        if self._policy is None:
-            raise ModelConfigurationError(
-                "no decision policy: " + "; ".join(self._defects))
-        return self._policy
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -146,7 +116,8 @@ class ElasticController:
         """Seed the initial leases and schedule the first tick.
 
         Pre-flight: a contradictory configuration (inverted thresholds,
-        ``min_cores > n_total`` ...) raises
+        ``min_cores > n_total``, ``min_cores`` below the tenant's lease
+        floor ...) raises
         :class:`~repro.errors.ModelConfigurationError`; with
         ``verify_model=True`` the full static analysis of
         :func:`repro.verify.verify_performance_model` runs first and any
@@ -165,11 +136,11 @@ class ElasticController:
             from ..verify import raise_on_findings, verify_performance_model
             raise_on_findings(verify_performance_model(self.model))
         self._lifecycle = "running"
-        self.planner.refresh()
+        self._refresh_priority()
         initial = self.planner.initial_mask(self.config.initial_cores)
         self.actuator.seed(initial)
         self._g_cores.set(self.n_allocated)
-        self.sensor.prime()
+        self.monitor.prime()
         self._schedule_tick()
 
     def stop(self) -> None:
@@ -214,34 +185,37 @@ class ElasticController:
             self._schedule_tick()
 
     def run_pipeline_once(self) -> TransitionChain:
-        """One full Sense -> Decide -> Plan -> Actuate pass.
+        """One full sample -> decide -> plan -> apply pass.
 
-        Public for tests and benchmarks.  The stages are wrapped in
+        Public for tests and benchmarks.  The steps are wrapped in
         host-clock spans (``controller.sample`` -> ``evaluate`` ->
         ``fire`` -> ``plan`` -> ``apply``) and each pass leaves a
         :class:`~repro.obs.provenance.Decision` in the recorder — the
         record ``repro explain`` renders.
         """
-        policy = self.policy
+        model = self.model
+        if model is None:
+            raise ModelConfigurationError(
+                "no model: " + "; ".join(self._defects))
         spans = self.obs.spans
         with spans.span("controller.tick"):
             with spans.span("controller.sample"):
-                sample = self.sensor.sense()
+                sample = self.monitor.sample()
             with spans.span("controller.evaluate"):
-                metric = policy.metric(sample)
-                self.planner.refresh()
+                metric = self.strategy.metric(sample)
+                self._refresh_priority()
             with spans.span("controller.fire"):
-                chain = policy.classify(metric)
+                chain = model.run_cycle(metric)
             self.lonc.record(metric, self.n_allocated)
             cores_before = self.n_allocated
             with spans.span("controller.plan"):
-                delta = single_step(self.planner.plan(chain.action))
+                delta = self.planner.plan(chain.action)
             with spans.span("controller.apply"):
-                applied = self.actuator.apply(delta)
+                self.actuator.apply(delta)
                 self._sync_model()
-                if applied.allocate:
+                if delta.allocate:
                     self._c_allocations.inc()
-                elif applied.release:
+                elif delta.release:
                     self._c_releases.inc()
         self._c_ticks.inc()
         self._h_metric.observe(metric)
@@ -249,7 +223,7 @@ class ElasticController:
         self._c_fired[chain.entry].inc()
         self._c_fired[chain.exit].inc()
         if self.obs.enabled:
-            self._record_decision(sample, chain, applied.first_core,
+            self._record_decision(sample, chain, delta.first_core,
                                   cores_before)
         self.ticks += 1
         self.os.tracer.emit(TransitionRecord(
@@ -306,9 +280,8 @@ class ElasticController:
 
     def _sync_model(self) -> None:
         # the PrT net's Provision token and the actuator's holdings must
-        # agree — also after a suppressed (cooldown) or starved (no free
-        # core) tick, where the fired transition moved the token but the
-        # machine did not change
+        # agree — also after a starved tick (no free core), where the
+        # fired transition moved the token but the machine did not change
         assert self.model is not None
         if self.model.nalloc != self.actuator.n_allocated:
             self.model.sync_nalloc(self.actuator.n_allocated)

@@ -1,10 +1,11 @@
 """Extension — two elastic controllers sharing one machine.
 
 The paper runs *one* mechanism instance governing *one* database cgroup.
-The control-plane decomposition (``repro.control``) makes the actuator a
-lease holder against the machine-wide :class:`~repro.opsys.CoreInventory`,
-so nothing stops a second controller from governing a second tenant on
-the same box — provided the inventory keeps their core sets disjoint.
+Each controller's :class:`~repro.control.LeaseActuator` holds core leases
+against the machine-wide :class:`~repro.opsys.CoreInventory`, and its
+planner skips cores other tenants hold, so nothing stops a second
+controller from governing a second tenant on the same box — provided the
+inventory keeps their core sets disjoint.
 
 This harness is that proof:
 

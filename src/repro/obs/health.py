@@ -17,7 +17,7 @@ judgements, one :class:`TenantHealth` per controller:
   passes, the mode-change rate;
 * **allocation lag** — ticks from a threshold crossing (the pass that
   left Stable) until a core change is actually applied (``core`` is not
-  ``None``); cooldowns and starvation stretch this.
+  ``None``); starvation (no free core) stretches this.
 
 Everything here is *pure replay*: :func:`analyze_decisions` computes
 the numbers post-hoc from a decisions JSONL file, and ``repro stats``

@@ -1,26 +1,25 @@
-"""The staged control plane: lifecycle, stages, decorators, tenancy.
+"""The controller's lifecycle, core placement and tenancy.
 
-Covers the seams the Sense -> Decide -> Plan -> Actuate decomposition
-introduced: the controller's explicit lifecycle state machine, the
-planner's foreign-core avoidance, the dry-run and cooldown actuator
-decorators, and two controllers coexisting on one machine through the
-core-lease inventory.
+Covers the controller's explicit lifecycle state machine, the planner's
+foreign-core avoidance, the model staying in sync with the leases when
+no core is free, the tenant-floor pre-flight check, and two controllers
+coexisting on one machine through the core-lease inventory.
 """
 
 import pytest
 
 from repro.config import ControllerConfig
-from repro.control import (CooldownActuator, CoreDelta, DryRunActuator,
-                           LeaseActuator, ModePlanner, NO_CHANGE,
-                           single_step)
+from repro.control import CoreDelta, LeaseActuator, ModePlanner, NO_CHANGE
 from repro.core.controller import ElasticController
 from repro.core.modes import DenseMode, make_mode
 from repro.core.strategies import CpuLoadStrategy
-from repro.errors import AllocationError, LeaseError, SchedulerError
+from repro.errors import (AllocationError, LeaseError,
+                          ModelConfigurationError, SchedulerError)
 from repro.hardware.prebuilt import small_numa
 from repro.opsys.system import OperatingSystem
 from repro.opsys.workitem import ListWorkSource, WorkItem
-from repro.sim.tracing import CoreAllocation, MigrationRecord
+from repro.sim.tracing import (CoreAllocation, MigrationRecord,
+                               TransitionRecord)
 
 
 def make_controller(mode="dense", keepalive=False, tenant=None, os_=None,
@@ -122,16 +121,8 @@ def test_core_delta_truthiness_and_first_core():
     assert bool(CoreDelta(release=(5,)))
 
 
-def test_single_step_rejects_multi_core_deltas():
-    assert single_step(CoreDelta(allocate=(1,))).allocate == (1,)
-    with pytest.raises(AllocationError, match="one core per tick"):
-        single_step(CoreDelta(allocate=(1, 2)))
-    with pytest.raises(AllocationError):
-        single_step(CoreDelta(allocate=(1,), release=(2,)))
-
-
 class _View:
-    """A frozen CoreView for planner tests."""
+    """A frozen view of own and foreign cores for planner tests."""
 
     def __init__(self, own=(), foreign=()):
         self._own = frozenset(own)
@@ -170,70 +161,42 @@ def test_planner_initial_mask_skips_foreign():
 
 
 # ----------------------------------------------------------------------
-# actuator decorators
+# model and leases agree
 # ----------------------------------------------------------------------
 
-def test_dry_run_leaves_the_machine_untouched():
-    os_, controller = make_controller(dry_run=True)
+def test_starved_ticks_keep_the_model_in_sync():
+    # "hog" holds every core but one: the loaded tenant's model fires
+    # its allocate transition, but the planner finds no free core
+    os_ = OperatingSystem(small_numa())
     n = os_.topology.n_cores
+    os_.create_tenant("hog")
+    os_.create_tenant("busy")
+    os_.inventory.seed("hog", list(range(1, n)))
+    _, controller = make_controller(os_=os_, tenant="busy")
     controller.start()
     for _ in range(3):
-        os_.spawn_thread(scan_source(os_))
-    os_.run_until_idle()
-    # the real mask never shrank: threads ran on the whole machine
-    assert len(os_.cpuset) == n
-    assert not os_.inventory.is_governed("db")
-    # but the what-if staircase evolved
-    actuator = controller.actuator
-    assert isinstance(actuator, DryRunActuator)
-    assert actuator.planned
-    assert controller.model.nalloc == controller.n_allocated
+        os_.spawn_thread(scan_source(os_, cycles=2e9), tenant="busy")
+    for _ in range(20):
+        os_.run(until=os_.now + 0.05)
+        assert controller.model.nalloc == controller.n_allocated == 1
+        os_.inventory.check()
+    assert os_.inventory.mask_of("busy") == {0}
+    assert any(r.label.endswith("t5")
+               for r in os_.tracer.of(TransitionRecord))
 
 
-def test_dry_run_guards_virtual_holdings():
+def test_controller_floor_below_the_tenant_floor_refuses_to_start():
+    # the model would release down to min_cores=1, and the inventory
+    # would refuse that release mid-run at the tenant's floor of 3
     os_ = OperatingSystem(small_numa())
-    actuator = DryRunActuator(os_)
-    actuator.seed([0])
-    with pytest.raises(AllocationError):
-        actuator.apply(CoreDelta(allocate=(0,)))
-    with pytest.raises(AllocationError):
-        actuator.apply(CoreDelta(release=(3,)))
-
-
-def test_cooldown_suppresses_rapid_changes():
-    os_, controller = make_controller(cooldown_ticks=4)
-    controller.start()
-    for _ in range(4):
-        os_.spawn_thread(scan_source(os_))
-    os_.run_until_idle()
-    actuator = controller.actuator
-    assert isinstance(actuator, CooldownActuator)
-    assert actuator.suppressed > 0
-    # suppression never desynchronised the model from the holdings
-    assert controller.model.nalloc == controller.n_allocated
-
-
-def test_cooldown_zero_window_passes_everything_through():
-    os_ = OperatingSystem(small_numa())
-    inner = DryRunActuator(os_)
-    actuator = CooldownActuator(inner, cooldown_ticks=0)
-    actuator.seed([0])
-    assert actuator.apply(CoreDelta(allocate=(1,)))
-    assert actuator.apply(CoreDelta(allocate=(2,)))
-    assert actuator.suppressed == 0
-    assert actuator.n_allocated == 3
-
-
-def test_cooldown_window_then_reissue():
-    os_ = OperatingSystem(small_numa())
-    inner = DryRunActuator(os_)
-    actuator = CooldownActuator(inner, cooldown_ticks=2)
-    actuator.seed([0])
-    assert actuator.apply(CoreDelta(allocate=(1,)))          # tick 1
-    assert not actuator.apply(CoreDelta(allocate=(2,)))      # tick 2: hot
-    assert not actuator.apply(CoreDelta(allocate=(2,)))      # tick 3: hot
-    assert actuator.apply(CoreDelta(allocate=(2,)))          # tick 4: cold
-    assert actuator.suppressed == 2
+    os_.create_tenant("t", min_cores=3)
+    controller = ElasticController(
+        os_, make_mode("dense", os_.topology), CpuLoadStrategy(),
+        ControllerConfig(min_cores=1, initial_cores=4), tenant="t")
+    with pytest.raises(ModelConfigurationError,
+                       match=r"min_cores=1 below .*min_cores=3"):
+        controller.start()
+    assert not os_.inventory.is_governed("t")
 
 
 # ----------------------------------------------------------------------

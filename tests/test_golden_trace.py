@@ -1,14 +1,14 @@
-"""Golden-trace regression: the control-plane stays bit-identical.
+"""Golden-trace regression: the controller's runs stay bit-identical.
 
-The control-plane refactor (staged Sense -> Decide -> Plan -> Actuate
-pipeline, core-lease inventory) promises that single-tenant behaviour is
-preserved *exactly*: the deterministic trace a figure harness exports is
-byte-identical before and after.  These tests pin that promise: fixture
-traces under ``tests/fixtures/golden/`` were recorded on the pre-refactor
-controller, and every run of fig07 / fig16 must still serialise to the
-same bytes.  They must also hold under any ``PYTHONHASHSEED``: iterating
-a set or dict of strings on the event path would make the trace depend
-on the interpreter's hash seed.
+Fixture traces under ``tests/fixtures/golden/`` pin the deterministic
+trace the fig07, fig13 and fig16 harnesses export: a change to the
+controller, the core-lease inventory or the simulator must leave every
+run serialising to the same bytes.  They must also hold under any
+``PYTHONHASHSEED``: iterating a set or dict of strings on the event path
+would make the trace depend on the interpreter's hash seed.  No trace
+golden covers two tenants, so a fixture of the two-controller
+extension's outcome (slice samples, per-tenant rows, makespan) pins the
+planner's foreign-aware paths.
 
 Regenerate (only when a trace change is *intended* and reviewed)::
 
@@ -17,6 +17,7 @@ Regenerate (only when a trace change is *intended* and reviewed)::
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import subprocess
@@ -24,7 +25,8 @@ import sys
 
 import pytest
 
-from repro.experiments import (fig07_state_transitions,
+from repro.experiments import (ext_multi_tenant,
+                               fig07_state_transitions,
                                fig13_scheduling,
                                fig16_migration_modes)
 from repro.sim.export import dump_records, load_records
@@ -49,8 +51,8 @@ def _trace_bytes(records, tmp_path: pathlib.Path) -> bytes:
     return path.read_bytes()
 
 
-def _check(records, fixture: pathlib.Path, tmp_path: pathlib.Path) -> None:
-    exported = _trace_bytes(records, tmp_path)
+def _matches_golden(exported: bytes, fixture: pathlib.Path) -> bool:
+    """Record ``exported`` under regeneration, else compare it."""
     if _REGEN:
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         fixture.write_bytes(exported)
@@ -58,19 +60,23 @@ def _check(records, fixture: pathlib.Path, tmp_path: pathlib.Path) -> None:
     if not fixture.exists():
         pytest.fail(f"golden fixture {fixture} missing; "
                     f"run with GOLDEN_REGEN=1 to record it")
-    golden = fixture.read_bytes()
-    if exported != golden:
-        # byte-compare first (the contract), then diff record-wise for a
-        # digestible failure message
-        new = records
-        old = load_records(fixture)
-        detail = f"{len(old)} golden vs {len(new)} exported records"
-        for i, (a, b) in enumerate(zip(old, new)):
-            if a != b:
-                detail += f"; first divergence at record {i}: {a} != {b}"
-                break
-        pytest.fail(f"{fixture.name}: exported trace diverged from the "
-                    f"golden fixture ({detail})")
+    return exported == fixture.read_bytes()
+
+
+def _check(records, fixture: pathlib.Path, tmp_path: pathlib.Path) -> None:
+    if _matches_golden(_trace_bytes(records, tmp_path), fixture):
+        return
+    # byte-compare first (the contract), then diff record-wise for a
+    # digestible failure message
+    new = records
+    old = load_records(fixture)
+    detail = f"{len(old)} golden vs {len(new)} exported records"
+    for i, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            detail += f"; first divergence at record {i}: {a} != {b}"
+            break
+    pytest.fail(f"{fixture.name}: exported trace diverged from the "
+                f"golden fixture ({detail})")
 
 
 def fig07_records():
@@ -111,6 +117,28 @@ def test_fig16_trace_is_golden(tmp_path):
     records = fig16_records()
     assert records, "fig16 harness exported no records"
     _check(records, GOLDEN_DIR / "fig16_trace.jsonl", tmp_path)
+
+
+def two_tenant_outcome() -> bytes:
+    """The two-controller run's slice samples, table rows and makespan."""
+    result = ext_multi_tenant.run()
+    outcome = {"samples": result.samples, "rows": result.rows(),
+               "makespan": result.makespan}
+    return (json.dumps(outcome, indent=1) + "\n").encode()
+
+
+def test_two_tenant_outcome_is_golden():
+    # no trace golden covers two tenants, so this pins the planner's
+    # foreign-aware seeding and allocation through their outcome
+    fixture = GOLDEN_DIR / "two_tenant_outcome.json"
+    exported = two_tenant_outcome()
+    if _matches_golden(exported, fixture):
+        return
+    old = json.loads(fixture.read_bytes())
+    new = json.loads(exported)
+    diverged = [key for key in new if new[key] != old.get(key)]
+    pytest.fail(f"{fixture.name}: the two-controller outcome diverged "
+                f"from the golden fixture in {diverged}")
 
 
 #: run in a fresh interpreter: print each golden the traces diverge from

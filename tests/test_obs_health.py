@@ -96,8 +96,8 @@ class TestAllocationLag:
     def test_lag_counts_ticks_from_threshold_crossing(self):
         health = TenantHealth("db", HealthConfig())
         health.observe(decision(0.0, 0, "Stable"))
-        # tick 1 leaves Stable (the crossing); cooldown holds the core
-        # change back until tick 3
+        # tick 1 leaves Stable (the crossing); no free core holds the
+        # core change back until tick 3
         health.observe(decision(1.0, 1, "Overload"))
         health.observe(decision(2.0, 2, "Overload"))
         health.observe(decision(3.0, 3, "Overload", action="allocate",
