@@ -22,6 +22,7 @@ cell — and :func:`attach_controller` puts each cell's mode on its fork:
 Forked cells are bit-identical to cold runs that re-simulate the prefix
 from scratch (golden traces and property tests pin this), and the
 captured base pickles across the ``repro run --parallel N`` spawn pool.
+Every fig13–17 sweep cell is built this way.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def attach_controller(sut: SystemUnderTest, mode: str | None,
                       keepalive: bool = False) -> SystemUnderTest:
     """Attach and start an elastic controller on a built system.
 
-    The fork point of the warm-start harness: a controllerless system is
+    The fork point of the sweep harnesses: a controllerless system is
     warmed once, captured, and each sweep cell attaches its own mode to
     a fresh fork.  ``mode=None`` is a no-op (the OS baseline).  Returns
     ``sut`` for chaining.
@@ -250,7 +251,7 @@ def attach_controller(sut: SystemUnderTest, mode: str | None,
 
 
 # ----------------------------------------------------------------------
-# warm-start forking
+# snapshot forking
 
 
 def dataset_shared_atoms(dataset: TpchDataset) -> tuple:
@@ -267,9 +268,18 @@ def dataset_shared_atoms(dataset: TpchDataset) -> tuple:
 
 
 def capture_system(sut: SystemUnderTest) -> SimState:
-    """Snapshot a full system under test (dataset externalised)."""
+    """Snapshot a full system under test.
+
+    The dataset is externalised (:func:`dataset_shared_atoms`), and so
+    are the telemetry recorder and every sink it has handed out — the
+    registry's instruments, the span tracer, the decision log — so each
+    fork records into the live recorder, not into a pickled copy of it.
+    """
+    obs = sut.os.obs
+    sinks = (obs, obs.metrics, *obs.metrics.all(), obs.spans,
+             obs.decisions)
     return sut.os.sim.snapshot(
-        root=sut, shared=dataset_shared_atoms(sut.dataset))
+        root=sut, shared=dataset_shared_atoms(sut.dataset) + sinks)
 
 
 def fork_system(base: SimState) -> SystemUnderTest:

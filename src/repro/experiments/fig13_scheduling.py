@@ -9,14 +9,12 @@ Expected shapes: similar CPU load and task counts everywhere; the OS
 scheduler steals noticeably more tasks than the adaptive mode; adaptive
 throughput at least matches the OS at high concurrency.
 
-Measurement protocol (warm-start aware): when ``repetitions > 1`` the
-first repetition is a *warm-up* under plain OS scheduling — data load,
-first-touch page placement, thread spawning — and only the remaining
-repetitions are measured with the cell's controller attached.  The
-warm-up is identical for all four modes of one user count, so the warm
-path simulates it once, captures the system, and forks each mode's cell
-from the capture; the cold path (``warm_start=False``) re-simulates it
-per cell and must produce byte-identical cells.
+Measurement protocol: when ``repetitions > 1`` the first repetition is a
+*warm-up* under plain OS scheduling — data load, first-touch page
+placement, thread spawning — and only the remaining repetitions are
+measured with the cell's controller attached.  The warm-up is identical
+for all four modes of one user count, so it is simulated once, captured,
+and each mode's cell forks from the capture.
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ from dataclasses import dataclass, field
 from ..analysis.report import render_table
 from ..db.clients import repeat_stream
 from ..sim.state import SimState
-from .common import (SystemUnderTest, attach_controller, build_system,
-                     fork_system, warm_system)
+from .common import (SystemUnderTest, attach_controller, fork_system,
+                     warm_system)
 
 MODES = (None, "dense", "sparse", "adaptive")
 DEFAULT_USERS = (1, 4, 16, 64)
@@ -96,34 +94,15 @@ def _measure_cell(sut: SystemUnderTest, users: int,
     )
 
 
-def run_cell(mode: str | None, users: int, repetitions: int = 4,
-             scale: float = 0.01, sim_scale: float = 1.0) -> Fig13Cell:
-    """One (mode, users) cell, cold: the warm-up prefix is re-simulated
-    on a fresh system.  The reference path warm-start forking must match
-    byte for byte."""
-    warmup, measured = _split_repetitions(repetitions)
-    sut = build_system(engine="monetdb", mode=None, scale=scale,
-                       sim_scale=sim_scale)
-    if warmup:
-        sut.run_clients(users, repeat_stream(WORKLOAD_QUERY, warmup))
-    attach_controller(sut, mode)
-    return _measure_cell(sut, users, measured)
-
-
 def run_group(users: int, repetitions: int = 4, scale: float = 0.01,
-              sim_scale: float = 1.0,
-              base: SimState | None = None) -> list[Fig13Cell]:
+              sim_scale: float = 1.0) -> list[Fig13Cell]:
     """All four modes' cells for one user count, forked from one warmed
     prefix (simulated once instead of once per mode)."""
+    base = warm_group_base(users, repetitions, scale, sim_scale)
     measured = _split_repetitions(repetitions)[1]
-    if base is None:
-        base = warm_group_base(users, repetitions, scale, sim_scale)
-    cells = []
-    for mode in MODES:
-        sut = fork_system(base)
-        attach_controller(sut, mode)
-        cells.append(_measure_cell(sut, users, measured))
-    return cells
+    return [_measure_cell(attach_controller(fork_system(base), mode),
+                          users, measured)
+            for mode in MODES]
 
 
 def warm_group_base(users: int, repetitions: int, scale: float,
@@ -139,59 +118,38 @@ def warm_group_base(users: int, repetitions: int, scale: float,
 def run_traced(mode: str | None = "adaptive", users: int = 4,
                repetitions: int = 2, scale: float = 0.01,
                sim_scale: float = 1.0) -> tuple[Fig13Cell, list]:
-    """One cold cell plus its full event trace.
+    """One cell plus its full event trace, warm-up included.
 
     The golden-parity harness: CI runs this once against the seed-pinned
     fixture and diffs the exported trace byte-for-byte, so any change to
     event delivery order — queue refactors included — fails loud.
     """
-    warmup, measured = _split_repetitions(repetitions)
-    sut = build_system(engine="monetdb", mode=None, scale=scale,
-                       sim_scale=sim_scale)
-    if warmup:
-        sut.run_clients(users, repeat_stream(WORKLOAD_QUERY, warmup))
-    attach_controller(sut, mode)
-    cell = _measure_cell(sut, users, measured)
+    base = warm_group_base(users, repetitions, scale, sim_scale)
+    sut = attach_controller(fork_system(base), mode)
+    cell = _measure_cell(sut, users, _split_repetitions(repetitions)[1])
     return cell, sut.os.tracer.all()
 
 
 def run(users: tuple[int, ...] = DEFAULT_USERS, repetitions: int = 4,
         scale: float = 0.01, sim_scale: float = 1.0,
-        parallel: int = 1, warm_start: bool = True) -> Fig13Result:
+        parallel: int = 1) -> Fig13Result:
     """Sweep users for all four scheduling configurations.
 
-    With ``warm_start`` (the default) each user count's four cells fork
-    from one captured warm-up prefix; ``warm_start=False`` re-simulates
-    the prefix per cell and produces byte-identical cells (the
-    equivalence is pinned by tests and CI).  ``parallel > 1`` fans the
-    independent units — user-count groups warm, (mode, users) cells
-    cold — across worker processes; the ordered merge keeps the result
-    identical to a serial run.
+    Each user count's four cells fork from one captured warm-up prefix.
+    ``parallel > 1`` fans the user counts across worker processes; the
+    ordered merge keeps the result identical to a serial run.
     """
     from ..runner.pool import Task, run_tasks
 
     result = Fig13Result(users=users)
-    if warm_start:
-        groups = run_tasks(
-            [Task("repro.experiments.fig13_scheduling:run_group",
-                  dict(users=n, repetitions=repetitions, scale=scale,
-                       sim_scale=sim_scale))
-             for n in users],
-            parallel=parallel)
-        by_key = {(mode, n): cell
-                  for n, group in zip(users, groups)
-                  for mode, cell in zip(MODES, group)}
-    else:
-        keys = [(mode, n) for mode in MODES for n in users]
-        cells = run_tasks(
-            [Task("repro.experiments.fig13_scheduling:run_cell",
-                  dict(mode=mode, users=n, repetitions=repetitions,
-                       scale=scale, sim_scale=sim_scale))
-             for mode, n in keys],
-            parallel=parallel)
-        by_key = dict(zip(keys, cells))
-    # cells are keyed mode-major regardless of which path produced them
-    for mode in MODES:
-        for n in users:
-            result.cells[(mode or "OS", n)] = by_key[(mode, n)]
+    groups = run_tasks(
+        [Task("repro.experiments.fig13_scheduling:run_group",
+              dict(users=n, repetitions=repetitions, scale=scale,
+                   sim_scale=sim_scale))
+         for n in users],
+        parallel=parallel)
+    # cells are keyed mode-major
+    for i, mode in enumerate(MODES):
+        for n, group in zip(users, groups):
+            result.cells[(mode or "OS", n)] = group[i]
     return result

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from ..analysis.report import render_table
 from ..db.clients import repeat_stream
 from ..sim.state import SimState
-from .common import (SystemUnderTest, attach_controller, build_system,
-                     fork_system, warm_system)
+from .common import (SystemUnderTest, attach_controller, fork_system,
+                     warm_system)
 
 MODES = (None, "dense", "sparse", "adaptive")
 WORKLOAD_QUERY = "sel_45pct"
@@ -96,15 +96,6 @@ def _measure_cell(sut: SystemUnderTest, mode: str | None,
     )
 
 
-def run_cell(mode: str | None, n_clients: int = 32,
-             repetitions: int = 3, scale: float = 0.01,
-             sim_scale: float = 1.0) -> Fig14Cell:
-    """One mode's memory picture on a fresh (cold-built) system."""
-    sut = build_system(engine="monetdb", mode=None, scale=scale,
-                       sim_scale=sim_scale)
-    return _measure_cell(sut, mode, n_clients, repetitions)
-
-
 def run_cell_warm(base: SimState, mode: str | None, n_clients: int = 32,
                   repetitions: int = 3) -> Fig14Cell:
     """One mode's cell forked from a captured build prefix."""
@@ -112,37 +103,23 @@ def run_cell_warm(base: SimState, mode: str | None, n_clients: int = 32,
 
 
 def run(n_clients: int = 32, repetitions: int = 3, scale: float = 0.01,
-        sim_scale: float = 1.0, parallel: int = 1,
-        warm_start: bool | None = None) -> Fig14Result:
+        sim_scale: float = 1.0, parallel: int = 1) -> Fig14Result:
     """High-concurrency thetasubselect across the four configurations.
 
     The workload itself is mode-dependent from the first repetition, so
-    the shared prefix is the build stage (data load + registration): the
-    warm path builds once, captures, and forks the four cells.
-    ``warm_start=None`` resolves to forking only when ``parallel > 1``
-    (serially a cold build beats a capture/restore round trip; across
-    the spawn pool the capture ships once instead of each worker
-    rebuilding).  Cold (``warm_start=False``) rebuilds per cell,
-    byte-identically.
+    the shared prefix is the build stage (data load + registration): it
+    is built once, captured, and the four cells fork from the capture.
     """
     from ..runner.pool import Task, run_tasks
 
     result = Fig14Result(n_clients=n_clients)
-    if warm_start is None:
-        warm_start = parallel > 1
-    if warm_start:
-        base = warm_system(scale=scale, sim_scale=sim_scale)
-        tasks = [Task("repro.experiments.fig14_memory:run_cell_warm",
-                      dict(base=base, mode=mode, n_clients=n_clients,
-                           repetitions=repetitions))
-                 for mode in MODES]
-    else:
-        tasks = [Task("repro.experiments.fig14_memory:run_cell",
-                      dict(mode=mode, n_clients=n_clients,
-                           repetitions=repetitions, scale=scale,
-                           sim_scale=sim_scale))
-                 for mode in MODES]
-    cells = run_tasks(tasks, parallel=parallel)
+    base = warm_system(scale=scale, sim_scale=sim_scale)
+    cells = run_tasks(
+        [Task("repro.experiments.fig14_memory:run_cell_warm",
+              dict(base=base, mode=mode, n_clients=n_clients,
+                   repetitions=repetitions))
+         for mode in MODES],
+        parallel=parallel)
     for mode, cell in zip(MODES, cells):
         result.cells[mode or "OS"] = cell
     return result

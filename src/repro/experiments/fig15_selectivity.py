@@ -18,8 +18,8 @@ from ..analysis.report import render_table
 from ..db.clients import repeat_stream
 from ..sim.state import SimState
 from ..workloads.selectivity import SELECTIVITY_LEVELS, selectivity_name
-from .common import (SystemUnderTest, attach_controller, build_system,
-                     fork_system, warm_system)
+from .common import (SystemUnderTest, attach_controller, fork_system,
+                     warm_system)
 
 MODES = (None, "dense", "sparse", "adaptive")
 
@@ -70,15 +70,6 @@ def _measure_cell(sut: SystemUnderTest, mode: str | None, level: float,
             for s in sut.os.topology.all_nodes()}
 
 
-def run_cell(mode: str | None, level: float, n_clients: int = 16,
-             repetitions: int = 1, scale: float = 0.01,
-             sim_scale: float = 1.0) -> dict[int, float]:
-    """Per-socket L3 misses for one cold-built (mode, selectivity) cell."""
-    sut = build_system(engine="monetdb", mode=None, scale=scale,
-                       sim_scale=sim_scale)
-    return _measure_cell(sut, mode, level, n_clients, repetitions)
-
-
 def run_cell_warm(base: SimState, mode: str | None, level: float,
                   n_clients: int = 16,
                   repetitions: int = 1) -> dict[int, float]:
@@ -89,36 +80,24 @@ def run_cell_warm(base: SimState, mode: str | None, level: float,
 
 def run(levels: tuple[float, ...] = SELECTIVITY_LEVELS,
         n_clients: int = 16, repetitions: int = 1, scale: float = 0.01,
-        sim_scale: float = 1.0, parallel: int = 1,
-        warm_start: bool | None = None) -> Fig15Result:
+        sim_scale: float = 1.0, parallel: int = 1) -> Fig15Result:
     """Sweep selectivity for each scheduling configuration.
 
     Both the query and the controller differ per cell, so the shared
-    prefix is the build stage: the warm path captures one built system
-    and forks every (mode, level) cell from it.  ``warm_start=None``
-    resolves to forking only when ``parallel > 1`` (serially a cold
-    build beats a capture/restore round trip; across the spawn pool the
-    capture ships once instead of each worker rebuilding).
+    prefix is the build stage: one built system is captured and every
+    (mode, level) cell forks from it.
     """
     from ..runner.pool import Task, run_tasks
 
     result = Fig15Result(levels=levels, n_clients=n_clients)
     keys = [(mode, level) for mode in MODES for level in levels]
-    if warm_start is None:
-        warm_start = parallel > 1
-    if warm_start:
-        base = warm_system(scale=scale, sim_scale=sim_scale)
-        tasks = [Task("repro.experiments.fig15_selectivity:run_cell_warm",
-                      dict(base=base, mode=mode, level=level,
-                           n_clients=n_clients, repetitions=repetitions))
-                 for mode, level in keys]
-    else:
-        tasks = [Task("repro.experiments.fig15_selectivity:run_cell",
-                      dict(mode=mode, level=level, n_clients=n_clients,
-                           repetitions=repetitions, scale=scale,
-                           sim_scale=sim_scale))
-                 for mode, level in keys]
-    cells = run_tasks(tasks, parallel=parallel)
+    base = warm_system(scale=scale, sim_scale=sim_scale)
+    cells = run_tasks(
+        [Task("repro.experiments.fig15_selectivity:run_cell_warm",
+              dict(base=base, mode=mode, level=level,
+                   n_clients=n_clients, repetitions=repetitions))
+         for mode, level in keys],
+        parallel=parallel)
     for (mode, level), by_socket in zip(keys, cells):
         result.misses[(mode or "OS", level)] = by_socket
     return result

@@ -16,8 +16,8 @@ from ..analysis.report import render_table
 from ..db.clients import repeat_stream
 from ..sim.state import SimState
 from ..sim.tracing import MigrationRecord
-from .common import (SystemUnderTest, attach_controller, build_system,
-                     fork_system, warm_system)
+from .common import (SystemUnderTest, attach_controller, fork_system,
+                     warm_system)
 from .fig05_migration_os import ThreadTimeline, collect_timelines
 
 MODES = (None, "dense", "sparse", "adaptive")
@@ -78,14 +78,6 @@ def _measure_cell(sut: SystemUnderTest, mode: str | None,
     )
 
 
-def run_cell(mode: str | None, repetitions: int = 2, warmup: int = 4,
-             scale: float = 0.01, sim_scale: float = 1.0) -> Fig16Cell:
-    """Trace one configuration on a fresh (cold-built) system."""
-    sut = build_system(engine="monetdb", mode=None, scale=scale,
-                       sim_scale=sim_scale, record_placements=True)
-    return _measure_cell(sut, mode, repetitions, warmup)
-
-
 def run_cell_warm(base: SimState, mode: str | None, repetitions: int = 2,
                   warmup: int = 4) -> Fig16Cell:
     """Trace one configuration forked from a captured build prefix."""
@@ -93,40 +85,27 @@ def run_cell_warm(base: SimState, mode: str | None, repetitions: int = 2,
 
 
 def run(repetitions: int = 2, warmup: int = 4, scale: float = 0.01,
-        sim_scale: float = 1.0, parallel: int = 1,
-        warm_start: bool | None = None) -> Fig16Result:
+        sim_scale: float = 1.0, parallel: int = 1) -> Fig16Result:
     """Trace single-client Q6 under each configuration.
 
     ``warmup`` repetitions let the controller reach its steady allocation
     before tracing starts (the paper's runs are similarly warm); being
-    controller-driven they are mode-specific, so the warm path forks at
-    the build stage only.  A build-stage fork saves nothing serially (a
-    cold build costs less than a capture/restore round trip), so
-    ``warm_start=None`` resolves to forking only when ``parallel > 1`` —
-    there the capture ships once through the spawn pool and the ordered
-    merge keeps the exported trace records byte-identical to a serial
-    cold run (the golden-trace fixture pins this).
+    controller-driven they are mode-specific, so the cells fork from a
+    capture of the build stage only.  The ordered merge keeps the
+    exported trace records the same serially and under ``--parallel``
+    (the golden-trace fixture pins this).
     """
     from ..runner.pool import Task, run_tasks
 
     result = Fig16Result()
-    if warm_start is None:
-        warm_start = parallel > 1
-    if warm_start:
-        base = warm_system(scale=scale, sim_scale=sim_scale,
-                           record_placements=True)
-        tasks = [Task(
-            "repro.experiments.fig16_migration_modes:run_cell_warm",
-            dict(base=base, mode=mode, repetitions=repetitions,
-                 warmup=warmup))
-            for mode in MODES]
-    else:
-        tasks = [Task("repro.experiments.fig16_migration_modes:run_cell",
-                      dict(mode=mode, repetitions=repetitions,
-                           warmup=warmup, scale=scale,
-                           sim_scale=sim_scale))
-                 for mode in MODES]
-    cells = run_tasks(tasks, parallel=parallel)
+    base = warm_system(scale=scale, sim_scale=sim_scale,
+                       record_placements=True)
+    cells = run_tasks(
+        [Task("repro.experiments.fig16_migration_modes:run_cell_warm",
+              dict(base=base, mode=mode, repetitions=repetitions,
+                   warmup=warmup))
+         for mode in MODES],
+        parallel=parallel)
     for mode, cell in zip(MODES, cells):
         result.cells[mode or "OS"] = cell
     return result

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from ..analysis.report import render_table
 from ..db.clients import repeat_stream
 from ..sim.state import SimState
-from .common import attach_controller, build_system, fork_system, \
-    warm_system
+from .common import attach_controller, fork_system, warm_system
 
 MODES = ("dense", "sparse", "adaptive")
 STRATEGIES = ("cpu_load", "ht_imc")
@@ -80,18 +79,6 @@ def _measure(sut, repetitions: int, warmup: int) -> Fig17Cell:
     )
 
 
-def run_cell(mode: str | None, strategy: str = "cpu_load",
-             repetitions: int = 3, warmup: int = 5, scale: float = 0.01,
-             sim_scale: float = 1.0) -> Fig17Cell:
-    """One cold-built configuration cell; ``mode=None`` is the OS
-    baseline."""
-    sut = build_system(engine="monetdb", mode=None, scale=scale,
-                       sim_scale=sim_scale)
-    attach_controller(sut, mode,
-                      strategy=strategy if mode else "cpu_load")
-    return _measure(sut, repetitions, warmup)
-
-
 def run_cell_warm(base: SimState, mode: str | None,
                   strategy: str = "cpu_load", repetitions: int = 3,
                   warmup: int = 5) -> Fig17Cell:
@@ -103,16 +90,12 @@ def run_cell_warm(base: SimState, mode: str | None,
 
 
 def run(repetitions: int = 3, warmup: int = 5, scale: float = 0.01,
-        sim_scale: float = 1.0, parallel: int = 1,
-        warm_start: bool | None = None) -> Fig17Result:
+        sim_scale: float = 1.0, parallel: int = 1) -> Fig17Result:
     """Run the OS baseline plus each (mode, strategy) pair.
 
     The warm-up phase runs under each cell's own (mode, strategy)
-    controller, so the shared prefix is the build stage: the warm path
-    captures one built system and forks all seven cells from it.
-    ``warm_start=None`` resolves to forking only when ``parallel > 1``
-    (a build-stage fork saves nothing serially; across the spawn pool
-    the capture ships once instead of each worker rebuilding).
+    controller, so the shared prefix is the build stage: one built
+    system is captured and all seven cells fork from it.
     """
     from ..runner.pool import Task, run_tasks
 
@@ -120,21 +103,13 @@ def run(repetitions: int = 3, warmup: int = 5, scale: float = 0.01,
     keys: list[tuple[str | None, str]] = [(None, "-")]
     keys.extend((mode, strategy) for strategy in STRATEGIES
                 for mode in MODES)
-    if warm_start is None:
-        warm_start = parallel > 1
-    if warm_start:
-        base = warm_system(scale=scale, sim_scale=sim_scale)
-        tasks = [Task("repro.experiments.fig17_strategies:run_cell_warm",
-                      dict(base=base, mode=mode, strategy=strategy,
-                           repetitions=repetitions, warmup=warmup))
-                 for mode, strategy in keys]
-    else:
-        tasks = [Task("repro.experiments.fig17_strategies:run_cell",
-                      dict(mode=mode, strategy=strategy,
-                           repetitions=repetitions, warmup=warmup,
-                           scale=scale, sim_scale=sim_scale))
-                 for mode, strategy in keys]
-    cells = run_tasks(tasks, parallel=parallel)
+    base = warm_system(scale=scale, sim_scale=sim_scale)
+    cells = run_tasks(
+        [Task("repro.experiments.fig17_strategies:run_cell_warm",
+              dict(base=base, mode=mode, strategy=strategy,
+                   repetitions=repetitions, warmup=warmup))
+         for mode, strategy in keys],
+        parallel=parallel)
     for (mode, strategy), cell in zip(keys, cells):
         result.cells[(mode or "OS", strategy)] = cell
     return result

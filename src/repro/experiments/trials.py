@@ -80,22 +80,19 @@ class TrialStats:
             title=f"Trials over seeds {list(self.seeds)}")
 
 
-def _call_runner(runner: Callable[..., object] | str, seed: int,
-                 base: object | None = None) -> object:
+def _call_runner(runner: Callable[[int], object] | str,
+                 seed: int) -> object:
     """Worker entry point for one trial (resolves spec-string runners)."""
     if isinstance(runner, str):
         from ..runner.pool import resolve
         runner = resolve(runner)
-    if base is not None:
-        return runner(seed, base)
     return runner(seed)
 
 
-def run_trials(runner: Callable[..., object] | str,
+def run_trials(runner: Callable[[int], object] | str,
                extract: Callable[[object], dict[str, float]],
                seeds: Iterable[int] = (1, 2, 3, 4, 5),
-               parallel: int = 1,
-               base: object | None = None) -> TrialStats:
+               parallel: int = 1) -> TrialStats:
     """Run ``runner(seed)`` per seed and aggregate ``extract(result)``.
 
     Trials are independent by construction (the seed is the only input),
@@ -103,13 +100,6 @@ def run_trials(runner: Callable[..., object] | str,
     in seed order, so the statistics match a serial run exactly.  A
     parallel ``runner`` must be picklable — a module-level function or,
     for lambdas/closures, a ``"module:attr"`` spec string.
-
-    ``base`` forwards a captured warm prefix (a
-    :class:`~repro.sim.SimState` from
-    :func:`~repro.experiments.common.warm_system`) to every trial as
-    ``runner(seed, base)``, so seed-independent warm-up — data load,
-    registration — simulates once instead of once per seed; the capture
-    pickles across the spawn pool like any other kwarg.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -118,15 +108,13 @@ def run_trials(runner: Callable[..., object] | str,
     if parallel > 1 and len(seeds) > 1:
         from ..runner.pool import Task, run_tasks
 
-        kwargs = dict(runner=runner) if base is None \
-            else dict(runner=runner, base=base)
         results = run_tasks(
             [Task("repro.experiments.trials:_call_runner",
-                  dict(seed=seed, **kwargs)) for seed in seeds],
+                  dict(runner=runner, seed=seed)) for seed in seeds],
             parallel=parallel)
         for result in results:
             stats.add(extract(result))
         return stats
     for seed in seeds:
-        stats.add(extract(_call_runner(runner, seed, base)))
+        stats.add(extract(_call_runner(runner, seed)))
     return stats

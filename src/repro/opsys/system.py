@@ -24,19 +24,21 @@ from .vm import VirtualMemory
 
 
 class _TenantCpusetTelemetry:
-    """Picklable cpuset subscriber mirroring a tenant's mask telemetry.
+    """Picklable cpuset subscriber mirroring one tenant's mask into the
+    ``<prefix>.cores_added/cores_removed/allowed_cores`` instruments.
 
-    A local closure here would break snapshot pickling (warm-start
-    forking captures cpuset listener lists).
+    A local closure here would break snapshot pickling (forking captures
+    cpuset listener lists).
     """
 
     __slots__ = ("cpuset", "c_added", "c_removed", "g_allowed")
 
-    def __init__(self, cpuset: CpuSet, c_added, c_removed, g_allowed):
+    def __init__(self, cpuset: CpuSet, metrics, prefix: str):
         self.cpuset = cpuset
-        self.c_added = c_added
-        self.c_removed = c_removed
-        self.g_allowed = g_allowed
+        self.c_added = metrics.counter(f"{prefix}.cores_added")
+        self.c_removed = metrics.counter(f"{prefix}.cores_removed")
+        self.g_allowed = metrics.gauge(f"{prefix}.allowed_cores")
+        self.g_allowed.set(len(cpuset))
 
     def __call__(self, added: set[int], removed: set[int]) -> None:
         self.c_added.inc(len(added))
@@ -72,18 +74,9 @@ class OperatingSystem:
                                    self.cpuset, sched_cfg, self.tracer,
                                    obs=self.obs)
         self.load_sampler = LoadSampler(self.machine, self.cpuset)
-        metrics = self.obs.metrics
-        self._c_sim_events = metrics.counter("sim.events")
-        self._c_cores_added = metrics.counter("cpuset.cores_added")
-        self._c_cores_removed = metrics.counter("cpuset.cores_removed")
-        self._g_allowed = metrics.gauge("cpuset.allowed_cores")
-        self._g_allowed.set(len(self.cpuset))
-        self.cpuset.subscribe(self._obs_mask_change)
-
-    def _obs_mask_change(self, added: set[int], removed: set[int]) -> None:
-        self._c_cores_added.inc(len(added))
-        self._c_cores_removed.inc(len(removed))
-        self._g_allowed.set(len(self.cpuset))
+        self._c_sim_events = self.obs.metrics.counter("sim.events")
+        self.cpuset.subscribe(_TenantCpusetTelemetry(
+            self.cpuset, self.obs.metrics, "cpuset"))
 
     def create_tenant(self, name: str, min_cores: int = 1) -> CpuSet:
         """Register a new tenant with its own cpuset on this machine.
@@ -97,13 +90,8 @@ class OperatingSystem:
         cpuset = CpuSet(self.machine.topology.n_cores)
         self.inventory.adopt(name, cpuset, min_cores=min_cores)
         self.scheduler.register_tenant_mask(name, cpuset)
-        metrics = self.obs.metrics
-        c_added = metrics.counter(f"cpuset.{name}.cores_added")
-        c_removed = metrics.counter(f"cpuset.{name}.cores_removed")
-        g_allowed = metrics.gauge(f"cpuset.{name}.allowed_cores")
-        g_allowed.set(len(cpuset))
-        cpuset.subscribe(_TenantCpusetTelemetry(cpuset, c_added,
-                                                c_removed, g_allowed))
+        cpuset.subscribe(_TenantCpusetTelemetry(
+            cpuset, self.obs.metrics, f"cpuset.{name}"))
         return cpuset
 
     @property

@@ -19,6 +19,8 @@ Two mechanisms make the capture faithful *and* cheap:
   and keeps a snapshot at tens of kilobytes instead of tens of megabytes.
   The same persistent-id pair (:func:`dumps_shared` / :func:`loads_shared`)
   keeps the atoms out of the worker pool's task and result pickles.
+  A mutable object every fork is meant to write into (a telemetry
+  recorder and its sinks) is shared the same way.
 * **Registered process globals** — state that lives outside any object
   graph (the :class:`~repro.opsys.thread.SimThread` id counter) is
   registered here with getter/setter pairs; :meth:`SimState.capture`
@@ -125,9 +127,10 @@ class SimState:
     def capture(cls, root: Any, shared: Iterable[Any] = ()) -> "SimState":
         """Snapshot ``root``'s full object graph.
 
-        ``shared`` lists immutable objects to externalise by identity
-        (compared with ``is``, not ``==``); everything else reachable
-        from ``root`` is serialised into the payload.
+        ``shared`` lists objects to externalise by identity (compared
+        with ``is``, not ``==``) — immutable data, or sinks every fork
+        should share; everything else reachable from ``root`` is
+        serialised into the payload.
         """
         shared_atoms = tuple(shared)
         index = {id(obj): i for i, obj in enumerate(shared_atoms)}
