@@ -290,13 +290,10 @@ def _pool_summary(stats) -> str:
     """One-line pool telemetry after a ``--parallel`` run."""
     if stats is None or not stats.workers:
         return ""
-    line = (f"\npool (last fan-out): {stats.workers} worker(s), "
+    return (f"\npool (last fan-out): {stats.workers} worker(s), "
             f"utilisation {stats.mean_utilisation():.0%}, "
             f"{stats.ipc_bytes_shipped:,} B shipped over IPC, "
             f"{stats.shm_bytes:,} B of atoms mapped once per worker")
-    if stats.respawns:
-        line += f", {stats.respawns} respawn(s)"
-    return line
 
 
 def _profile_run(name: str, runner: Callable, kwargs: dict) -> str:

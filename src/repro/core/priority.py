@@ -47,10 +47,6 @@ class NodePriorityQueue:
         """Current aggregate counts, indexed by node."""
         return list(self._counts)
 
-    def count_of(self, node: int) -> float:
-        """Aggregate count of one node."""
-        return self._counts[node]
-
     def by_priority(self) -> list[int]:
         """Node ids from highest to lowest priority.
 

@@ -85,10 +85,6 @@ class Catalog:
     def __contains__(self, name: str) -> bool:
         return name in self._tables
 
-    def table_names(self) -> list[str]:
-        """All registered table names."""
-        return list(self._tables)
-
     @property
     def loaded(self) -> bool:
         """Whether base pages have been placed."""

@@ -119,10 +119,6 @@ class Machine:
         self._f_l3_inval = self.counters.family("l3_invalidations")
         self._f_busy = self.counters.family("busy_time")
 
-    def bank_backlog(self, node: int, now: float) -> float:
-        """Seconds of reserved work queued at one bank."""
-        return self.banks[node].backlog(now)
-
     def node_of_core(self, core_id: int) -> int:
         """Convenience passthrough to the topology."""
         return self.topology.node_of_core(core_id)

@@ -1,39 +1,41 @@
-"""Persistent spawn-worker pool with zero-copy shared atoms.
+"""Spawn-worker fan-out with zero-copy shared atoms.
 
 Tasks name their function as a ``"module:attr"`` spec string instead of
 a bare callable: spec strings pickle under every start method, survive
 ``__main__`` aliasing, and make the task list printable.  Workers import
 the module and call the attribute with the task's kwargs.
 
-The pool always uses the ``spawn`` start context.  ``fork`` would be
-faster to start but inherits the parent's dataset cache, open telemetry
-recorders and heap layout — ``spawn`` guarantees every worker starts
-from the same cold, deterministic state a serial run starts from.
+The pool is the standard library's
+:class:`~concurrent.futures.ProcessPoolExecutor` on the ``spawn`` start
+context.  ``fork`` would be faster to start but inherits the parent's
+dataset cache, open telemetry recorders and heap layout — ``spawn``
+guarantees every worker starts from the same cold, deterministic state
+a serial run starts from.  Workers live for one run: each attaches the
+run's shared atoms once (the executor's ``initializer``), imports
+experiment modules once, and keeps its warmed dataset cache across
+tasks.
 
-Workers are **long-lived**: each attaches the run's shared atoms once,
-imports experiment modules once, and keeps its warmed dataset cache
-across tasks.  The atoms are the run's bulk immutable data — every
+The atoms are the run's bulk immutable data — every
 :class:`~repro.sim.state.SimState` capture's shared atoms and payload,
 and bare numpy arrays in the kwargs — collected by identity and pickled
-once with protocol 5: the raw array buffers go out of band into one
-temp file, the small in-band header goes to each worker as the first
-message on its task queue, and workers ``mmap`` the file read-only, so
-their arrays are zero-copy views.  Task and result pickles then carry
-each atom as its position in that tuple
-(:func:`~repro.sim.state.dumps_shared`), so a warm-start cell ships
-kilobytes instead of the dataset.  Every result is tagged with its
-submission index, so merging is positional and parallel output stays
+once with protocol 5 into one temp file: the raw array buffers out of
+band, then the small in-band header and the buffer spans.  Workers get
+only the file's path and ``mmap`` it read-only, so their arrays are
+zero-copy views.  Task and result pickles carry each atom as its
+position in that tuple (:func:`~repro.sim.state.dumps_shared`), so a
+forked cell ships kilobytes instead of the dataset.  Results are read
+back future by future in submission order, so parallel output is
 bit-identical to serial regardless of completion order.
 
-Tasks dispatch in submission order to whichever worker is idle.  Each
-parallel execution records a :class:`PoolStats` — per-worker
+Each parallel execution records a :class:`PoolStats` — per-worker
 utilisation, shipped IPC bytes, out-of-band atom bytes — retrievable via
 :func:`last_pool_stats`.
 
 A failing task raises :class:`TaskError` carrying the task's ``fn``
-spec, its canonicalised kwargs and the worker's traceback; a *crashing*
-worker (hard exit) fails only the task it was running, and the pool
-respawns a replacement while work remains.
+spec, its canonicalised kwargs and the worker's traceback.  A worker
+that *dies* (hard exit, signal) breaks the executor and fails the whole
+run with a :class:`~repro.errors.ReproError` naming the tasks that got
+no result.
 """
 
 from __future__ import annotations
@@ -43,21 +45,22 @@ import json
 import mmap
 import os
 import pickle
-import queue as queue_lib
 import tempfile
 import time
-from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..errors import ReproError
 from ..sim.state import SimState, dumps_shared, loads_shared
 
-_PROTOCOL = pickle.HIGHEST_PROTOCOL
+# concurrent.futures is imported where a pool runs: serial runs, the
+# only kind most processes make, never load it or its dependencies
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 #: kwargs nesting depth scanned for shared atoms
 _SCAN_DEPTH = 3
@@ -65,12 +68,8 @@ _SCAN_DEPTH = 3
 #: out-of-band buffers start on cache-line boundaries in the atom file
 _ALIGN = 64
 
-#: parent poll interval while waiting on results — short enough that a
-#: crashed worker is noticed promptly, long enough not to spin
-_POLL_SECONDS = 0.05
-
-#: grace between the shutdown sentinel and terminate()
-_JOIN_SECONDS = 5.0
+#: byte width of the atom file's trailing index-length field
+_LENGTH_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -154,11 +153,8 @@ class PoolStats:
     ipc_result_bytes: int = 0
     #: out-of-band atom bytes, shipped once per worker
     shm_bytes: int = 0
-    respawns: int = 0
-    #: worker id -> seconds spent executing tasks
+    #: worker pid -> seconds spent executing tasks
     busy_seconds: dict[int, float] = field(default_factory=dict)
-    #: worker id -> tasks completed
-    worker_tasks: dict[int, int] = field(default_factory=dict)
 
     @property
     def ipc_bytes_shipped(self) -> int:
@@ -166,7 +162,7 @@ class PoolStats:
         return self.ipc_task_bytes + self.ipc_result_bytes
 
     def worker_utilisation(self) -> dict[str, float]:
-        """worker id -> busy fraction of the pool's wall clock."""
+        """worker pid -> busy fraction of the pool's wall clock."""
         if self.wall_seconds <= 0:
             return {}
         return {str(wid): min(busy / self.wall_seconds, 1.0)
@@ -197,10 +193,9 @@ def run_tasks(tasks: Iterable[Task], parallel: int = 1,
     ``parallel <= 1`` (or a single task) short-circuits to a plain
     serial loop in this process — no pool, no pickling, no import
     indirection beyond :func:`resolve`.  Larger values fan tasks across
-    at most ``parallel`` persistent spawn workers: shared atoms publish
-    once into a mapped file, tasks dispatch in submission order, and
-    results merge back by submission index so parallel output is
-    bit-identical to serial.
+    at most ``parallel`` spawn workers: shared atoms publish once into
+    a mapped file, and results are read back in submission order, so
+    parallel output is bit-identical to serial.
 
     ``cache`` accepts a :class:`~repro.runner.cache.ResultCache`,
     ``True`` (the default store), ``False`` (off even when a
@@ -242,19 +237,8 @@ def _execute(task_list: list[Task], parallel: int,
     """Run tasks serially or across the pool; submission order."""
     if parallel == 1 or len(task_list) <= 1:
         return [_invoke(task) for task in task_list]
-    workers = min(parallel, len(task_list))
-    outcomes = _run_pool(task_list, workers, get_context("spawn"),
-                         stats=stats)
-    failures = [(index, outcome) for index, outcome in
-                enumerate(outcomes)
-                if outcome is not None and outcome.failure is not None]
-    if failures:
-        index, outcome = failures[0]
-        raise _failure_error(outcome.failure, task_list[index])
-    if any(outcome is None for outcome in outcomes):
-        raise ReproError(
-            "pool finished without an outcome for every task")
-    return [outcome.value for outcome in outcomes]
+    return _run_pool(task_list, min(parallel, len(task_list)),
+                     stats=stats)
 
 
 def _failure_error(info: Mapping[str, Any], task: Task) -> TaskError:
@@ -282,14 +266,6 @@ def _failure_info(exc: BaseException) -> dict:
     return info
 
 
-@dataclass
-class _Outcome:
-    """Terminal state of one task inside :func:`_run_pool`."""
-
-    value: Any = None
-    failure: dict | None = None
-
-
 def _collect_atoms(value: Any, _depth: int = 0) -> list[Any]:
     """Bulk immutable atoms reachable from one task's kwargs.
 
@@ -314,12 +290,13 @@ def _collect_atoms(value: Any, _depth: int = 0) -> list[Any]:
             for atom in _collect_atoms(item, _depth + 1)]
 
 
-def _publish(atoms: tuple[Any, ...], file: Any
-             ) -> tuple[bytes, list[tuple[int, int]]]:
-    """Pickle ``atoms`` once, writing their raw buffers into ``file``.
+def _publish(atoms: tuple[Any, ...], file: Any) -> int:
+    """Pickle ``atoms`` once into ``file``; returns the out-of-band bytes.
 
-    Returns the in-band header and the ``(offset, size)`` span of every
-    out-of-band buffer, in the order :func:`_attach` hands them back.
+    The raw buffers come first, each on an ``_ALIGN`` boundary.  The
+    in-band header and every buffer's ``(offset, size)`` span follow,
+    pickled together as the index, and the index's length closes the
+    file, so :func:`_attach` needs nothing but the path.
     """
     buffers: list[pickle.PickleBuffer] = []
     header = pickle.dumps(atoms, protocol=5,
@@ -334,89 +311,101 @@ def _publish(atoms: tuple[Any, ...], file: Any
         file.write(raw)
         spans.append((offset, raw.nbytes))
         offset += raw.nbytes
-    return header, spans
+    index = pickle.dumps((header, spans), protocol=5)
+    file.write(index)
+    file.write(len(index).to_bytes(_LENGTH_BYTES, "little"))
+    return sum(size for _, size in spans)
 
 
-def _attach(header: bytes, path: str,
-            spans: list[tuple[int, int]]) -> tuple[Any, ...]:
-    """Rebuild the published atoms over a read-only map of ``path``.
+def _attach(path: str) -> tuple[Any, ...]:
+    """Rebuild the atoms :func:`_publish` wrote, over a read-only map.
 
     Arrays become read-only zero-copy views of the mapping, which
     their buffers keep alive for as long as the arrays live.
     """
-    view = memoryview(b"")
-    if any(size for _, size in spans):
-        with open(path, "rb") as file:
-            view = memoryview(mmap.mmap(file.fileno(), 0,
-                                        access=mmap.ACCESS_READ))
+    with open(path, "rb") as file:
+        view = memoryview(mmap.mmap(file.fileno(), 0,
+                                    access=mmap.ACCESS_READ))
+    end = len(view) - _LENGTH_BYTES
+    header, spans = pickle.loads(
+        view[end - int.from_bytes(view[end:], "little"):end])
     return pickle.loads(header, buffers=[
         view[offset:offset + size] for offset, size in spans])
 
 
-def _worker_main(worker_id: int, task_queue: Any,
-                 result_queue: Any) -> None:
-    """Long-lived worker loop: attach the atoms once, then serve.
+#: this worker's attached atoms and their positions by identity, set
+#: once per worker by :func:`_attach_worker`
+_WORKER_ATOMS: tuple[tuple[Any, ...], dict[int, int]] = ((), {})
 
-    The first message on the task queue is the ``(header, path,
-    spans)`` of the run's atoms.  Replies ``("done", worker id, index,
-    ok, payload, seconds)`` per task; a ``None`` sentinel shuts the
-    worker down.  Results pickle with attached atoms externalised back
-    to their positions, so bulk data never travels the result pipe
-    either.
+
+def _attach_worker(path: str) -> None:
+    """Executor initializer: attach the run's atoms once per worker."""
+    global _WORKER_ATOMS
+    atoms = _attach(path)
+    _WORKER_ATOMS = atoms, {id(atom): i for i, atom in enumerate(atoms)}
+
+
+def _serve(payload: bytes) -> tuple[int, float, bytes, dict | None]:
+    """Run one shipped task in a worker.
+
+    Returns ``(pid, busy seconds, result pickle, failure record)``.  The
+    result pickles with attached atoms externalised back to their
+    positions, so bulk data never travels the result pipe either.  A
+    failure comes back as a plain record, not raised: default exception
+    pickling would drop a :class:`TaskError`'s ``fn`` and ``kwargs``.
     """
-    atoms = _attach(*task_queue.get())
-    positions = {id(atom): i for i, atom in enumerate(atoms)}
-    while True:
-        item = task_queue.get()
-        if item is None:
-            break
-        index, payload = item
-        start = time.perf_counter()
-        try:
-            task = loads_shared(payload, atoms)
-            value = _invoke(task)
-            body = dumps_shared(value, positions)
-            ok = True
-        except Exception as exc:
-            body = pickle.dumps(_failure_info(exc), protocol=_PROTOCOL)
-            ok = False
-        result_queue.put(("done", worker_id, index, ok, body,
-                          time.perf_counter() - start))
+    # read once: thread-backed executors share this module and re-attach
+    # per thread, so a task must pair atoms and positions from one attach
+    atoms, positions = _WORKER_ATOMS
+    start = time.perf_counter()
+    body = b""
+    failure: dict | None = None
+    try:
+        value = _invoke(loads_shared(payload, atoms))
+        body = dumps_shared(value, positions)
+    except Exception as exc:
+        failure = _failure_info(exc)
+    return os.getpid(), time.perf_counter() - start, body, failure
 
 
-def _run_pool(task_list: list[Task], workers: int, context: Any,
+def _spawn_executor(**kwargs: Any) -> Executor:
+    """The executor :func:`run_tasks` fans out on."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(mp_context=get_context("spawn"), **kwargs)
+
+
+def _run_pool(task_list: list[Task], workers: int,
               stats: PoolStats | None = None,
-              fail_fast: bool = True) -> list["_Outcome | None"]:
-    """Drive tasks across persistent workers; one outcome per index.
+              executor: Callable[..., Executor] = _spawn_executor
+              ) -> list[Any]:
+    """Run tasks on ``workers`` pool workers; values in submission order.
 
-    The engine behind :func:`run_tasks`'s parallel path, split out so
-    the property suite can run it with an injected thread-backed
-    ``context`` and inspect every outcome without the raise-on-first-
-    failure policy (``fail_fast=False`` keeps dispatching after a
-    failure).  Each worker has a private task queue, so the parent
-    always knows which task a crashed worker was running; ``None``
-    outcomes are tasks never attempted (dispatch aborted first).
+    The engine behind :func:`run_tasks`'s parallel path.  ``executor``
+    builds the pool from ``max_workers``, ``initializer`` and
+    ``initargs`` keywords; the property suite passes
+    :class:`~concurrent.futures.ThreadPoolExecutor` to run the same
+    path without spawning processes.  The first failure in submission
+    order raises and cancels the tasks not yet started.  Workers are
+    joined before this returns or raises, so their CPU time is in the
+    caller's ``RUSAGE_CHILDREN``.
     """
     global _LAST_STATS
+    from concurrent.futures import BrokenExecutor
     if stats is None:
         stats = PoolStats()
     stats.workers = workers
-    order = deque(range(len(task_list)))
-    outcomes: list[_Outcome | None] = [None] * len(task_list)
     start_wall = time.perf_counter()
-    result_queue = context.Queue()
-    procs: dict[int, Any] = {}
-    queues: dict[int, Any] = {}
+    futures: list[Future] = []
     path: str | None = None
     try:
         found = {id(atom): atom for task in task_list
                  for atom in _collect_atoms(task.kwargs)}
         atoms = tuple(found.values())
         positions = {id(atom): i for i, atom in enumerate(atoms)}
-        payloads: dict[int, bytes] = {}
-        for index, task in enumerate(task_list):
+        payloads: list[bytes] = []
+        for task in task_list:
             try:
-                payloads[index] = dumps_shared(task, positions)
+                payloads.append(dumps_shared(task, positions))
             except (pickle.PicklingError, AttributeError,
                     TypeError) as exc:
                 described = _describe_kwargs(task.kwargs)
@@ -424,157 +413,47 @@ def _run_pool(task_list: list[Task], workers: int, context: Any,
                     f"task {task.fn!r} cannot be shipped to a worker: "
                     f"{exc}\n  kwargs: {described}",
                     fn=task.fn, kwargs=described) from exc
+        stats.ipc_task_bytes = sum(map(len, payloads))
         fd, path = tempfile.mkstemp(
             prefix=f"repro_atoms_{os.getpid()}_")
         with os.fdopen(fd, "wb") as file:
-            header, spans = _publish(atoms, file)
-        stats.shm_bytes = sum(size for _, size in spans)
-
-        pending = set(range(len(task_list)))
-        assigned: dict[int, int] = {}  # worker id -> in-flight index
-        idle: deque[int] = deque()
-        next_worker_id = 0
-        respawn_budget = workers + len(task_list)
-        aborted = False
-
-        def spawn() -> None:
-            nonlocal next_worker_id
-            wid = next_worker_id
-            next_worker_id += 1
-            task_queue = context.Queue()
-            # the atoms travel as the first queued message, not as a
-            # spawn argument: a multi-megabyte argument would block
-            # start() until the child has booted and read it
-            task_queue.put((header, path, spans))
-            proc = context.Process(
-                target=_worker_main,
-                args=(wid, task_queue, result_queue),
-                daemon=True)
-            proc.start()
-            procs[wid] = proc
-            queues[wid] = task_queue
-            idle.append(wid)
-
-        def abort() -> None:
-            nonlocal aborted
-            aborted = True
-            while order:  # never-attempted tasks stay None
-                pending.discard(order.popleft())
-
-        def dispatch() -> None:
-            while order and idle and not aborted:
-                wid = idle.popleft()
-                if wid not in procs:
-                    continue
-                index = order.popleft()
-                payload = payloads.pop(index)
-                stats.ipc_task_bytes += len(payload)
-                assigned[wid] = index
-                queues[wid].put((index, payload))
-
-        def reap() -> None:
-            for wid, proc in list(procs.items()):
-                if proc.is_alive():
-                    continue
-                del procs[wid]
-                try:
-                    idle.remove(wid)
-                except ValueError:
-                    pass
-                index = assigned.pop(wid, None)
-                if index is not None and index in pending:
-                    task = task_list[index]
-                    outcomes[index] = _Outcome(failure={
-                        "message": (
-                            f"worker {wid} died (exit code "
-                            f"{getattr(proc, 'exitcode', None)}) while "
-                            f"running task {task.fn!r}"),
-                        "fn": task.fn,
-                        "kwargs": _describe_kwargs(task.kwargs)})
-                    pending.discard(index)
-                    if fail_fast:
-                        abort()
-            nonlocal respawn_budget
-            while (not aborted and respawn_budget > 0
-                   and len(procs) < min(workers, len(pending))):
-                spawn()
-                respawn_budget -= 1
-                stats.respawns += 1
-            if not procs and pending:
-                # respawn budget exhausted (or aborted with casualties
-                # in flight): nothing left to run the remaining tasks
-                for index in sorted(pending):
-                    if outcomes[index] is None:
-                        task = task_list[index]
-                        outcomes[index] = _Outcome(failure={
-                            "message": (
-                                f"worker pool lost every worker; task "
-                                f"{task.fn!r} never completed"),
-                            "fn": task.fn,
-                            "kwargs": _describe_kwargs(task.kwargs)})
-                    pending.discard(index)
-
-        for _ in range(workers):
-            spawn()
-        dispatch()
-        while pending:
-            try:
-                message = result_queue.get(timeout=_POLL_SECONDS)
-            except queue_lib.Empty:
-                reap()
-                dispatch()
-                continue
-            _, wid, index, ok, body, seconds = message
-            assigned.pop(wid, None)
-            if wid in procs:
-                idle.append(wid)
-            if index in pending:
+            stats.shm_bytes = _publish(atoms, file)
+        pool = executor(max_workers=workers, initializer=_attach_worker,
+                        initargs=(path,))
+        try:
+            futures = [pool.submit(_serve, payload)
+                       for payload in payloads]
+            values: list[Any] = []
+            for task, future in zip(task_list, futures):
+                pid, seconds, body, failure = future.result()
                 stats.tasks += 1
                 stats.ipc_result_bytes += len(body)
-                stats.busy_seconds[wid] = (
-                    stats.busy_seconds.get(wid, 0.0) + seconds)
-                stats.worker_tasks[wid] = (
-                    stats.worker_tasks.get(wid, 0) + 1)
-                if ok:
-                    try:
-                        value = loads_shared(body, atoms)
-                    except Exception as exc:
-                        outcomes[index] = _Outcome(failure={
-                            "message": (
-                                f"cannot deserialise the result of "
-                                f"task {task_list[index].fn!r}: {exc}"),
-                            "fn": task_list[index].fn})
-                    else:
-                        outcomes[index] = _Outcome(value=value)
-                else:
-                    outcomes[index] = _Outcome(
-                        failure=pickle.loads(body))
-                pending.discard(index)
-                failed = outcomes[index].failure is not None
-                if failed and fail_fast:
-                    abort()
-            dispatch()
-        return outcomes
+                stats.busy_seconds[pid] = (
+                    stats.busy_seconds.get(pid, 0.0) + seconds)
+                if failure is not None:
+                    raise _failure_error(failure, task)
+                try:
+                    values.append(loads_shared(body, atoms))
+                except Exception as exc:
+                    raise TaskError(
+                        f"cannot deserialise the result of task "
+                        f"{task.fn!r}: {exc}", fn=task.fn) from exc
+            return values
+        finally:
+            pool.shutdown(cancel_futures=True)
+    except BrokenExecutor as exc:
+        # the executor cannot tell which task a dead worker was running,
+        # only which futures never got a result
+        returned = [future.done() and not future.cancelled()
+                    and future.exception() is None for future in futures]
+        lost = [f"#{index} {task.fn}"
+                for index, task in enumerate(task_list)
+                if index >= len(returned) or not returned[index]]
+        raise ReproError(
+            f"a pool worker died (hard exit or signal), failing the "
+            f"whole run; {len(lost)} task(s) got no result: "
+            f"{', '.join(lost)}") from exc
     finally:
-        for wid in list(procs):
-            try:
-                queues[wid].put(None)
-            except Exception:  # pragma: no cover - teardown races
-                pass
-        # drain stragglers so worker queue feeders never block on exit
-        while True:
-            try:
-                result_queue.get_nowait()
-            except Exception:
-                break
-        deadline = time.perf_counter() + _JOIN_SECONDS
-        for proc in procs.values():
-            proc.join(timeout=max(deadline - time.perf_counter(), 0.1))
-            if proc.is_alive():
-                terminate = getattr(proc, "terminate", None)
-                if terminate is not None:  # pragma: no cover
-                    terminate()
-                    proc.join(timeout=1.0)
         stats.wall_seconds = time.perf_counter() - start_wall
         _LAST_STATS = stats
         if path is not None:

@@ -10,7 +10,6 @@ consume.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 #: checks in the order the driver runs them (used to sort reports)
@@ -108,7 +107,3 @@ class VerificationReport:
             "checks": list(self.checks_run),
             "findings": [f.as_dict() for f in self.sorted_findings()],
         }
-
-    def to_json(self) -> str:
-        """Serialise for ``repro verify --json``."""
-        return json.dumps(self.as_dict(), indent=2)

@@ -46,14 +46,6 @@ class NetStructure:
         """``C = Post - Pre``: net token flow per (place, transition)."""
         return self.post - self.pre
 
-    def place_index(self, name: str) -> int:
-        """Row of ``name`` in the matrices."""
-        return self.places.index(name)
-
-    def transition_index(self, name: str) -> int:
-        """Column of ``name`` in the matrices."""
-        return self.transitions.index(name)
-
     @classmethod
     def from_net(cls, net: PetriNet) -> NetStructure:
         """Count arcs of ``net`` into numeric matrices."""

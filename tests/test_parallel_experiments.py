@@ -14,6 +14,7 @@ from repro.experiments import fig13_scheduling, fig16_migration_modes
 from repro.experiments.trials import run_trials
 from repro.runner.pool import last_pool_stats
 from repro.sim.export import dump_records
+from tests.test_props_pool import _atom_files
 
 GOLDEN = (pathlib.Path(__file__).parent / "fixtures" / "golden"
           / "fig16_trace.jsonl")
@@ -47,6 +48,8 @@ def test_fig16_parallel_trace_is_bit_identical_to_golden(tmp_path):
     assert stats.ipc_task_bytes < stats.shm_bytes
     assert stats.tasks == len(result.cells)
     assert 0.0 < stats.mean_utilisation() <= 1.0
+    # the run's mapped atom file is gone once run_tasks returns
+    assert not _atom_files()
 
 
 def _trial_runner(seed):

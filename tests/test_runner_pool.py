@@ -1,24 +1,29 @@
 """Unit tests for the parallel runner's pool.
 
-These stay in-process (``parallel=1`` short-circuits the pool, and the
-atom transport runs over the property suite's thread-backed context),
-so they are cheap; the spawn path is covered by
-``tests/test_parallel_experiments.py``.
+Most stay in-process (``parallel=1`` short-circuits the pool, and the
+atom transport runs over a ``ThreadPoolExecutor`` through the pool's
+executor seam), so they are cheap.  The last two spawn real workers:
+a worker's hard exit, and a failure's identity crossing the process
+boundary.  ``tests/test_parallel_experiments.py`` covers the spawn path
+on real experiments.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
 from repro.runner.pool import (PoolStats, Task, TaskError, _attach,
-                               _collect_atoms, _publish, _run_pool,
-                               resolve, run_tasks)
+                               _collect_atoms, _describe_kwargs,
+                               _publish, _run_pool, resolve, run_tasks)
 from repro.sim.state import SimState
-from tests.test_props_pool import _ThreadContext
+from tests.test_props_pool import _atom_files
 
 
 def _double(x):
@@ -70,7 +75,6 @@ def test_pool_stats_utilisation_and_dict_shape():
                       ipc_task_bytes=100, ipc_result_bytes=50,
                       shm_bytes=4096)
     stats.busy_seconds = {0: 1.0, 1: 2.5}  # 2.5 > wall: clamped
-    stats.worker_tasks = {0: 1, 1: 3}
     util = stats.worker_utilisation()
     assert util == {"0": pytest.approx(0.5), "1": pytest.approx(1.0)}
     assert stats.mean_utilisation() == pytest.approx(0.75)
@@ -115,14 +119,12 @@ def test_attach_rebuilds_atoms_as_read_only_views(tmp_path):
     dataset = {"cols": [column, small], "label": "tpch"}
     path = tmp_path / "atoms"
     with open(path, "wb") as file:
-        header, spans = _publish((column, small, empty, dataset,
-                                  b"payload"), file)
-    # the arrays went out of band; the header holds the rest
-    assert [size for _, size in spans] == [column.nbytes, small.nbytes,
-                                           0]
-    assert len(header) < 1024
+        oob = _publish((column, small, empty, dataset, b"payload"), file)
+    # the arrays went out of band; the header and spans are the rest
+    assert oob == column.nbytes + small.nbytes
+    assert path.stat().st_size - oob < 1024
     out_column, out_small, out_empty, out_dataset, payload = _attach(
-        header, str(path), spans)
+        str(path))
     for out, original in ((out_column, column), (out_small, small),
                           (out_empty, empty)):
         assert np.array_equal(out, original)
@@ -157,10 +159,9 @@ def test_pool_round_trip_ships_atoms_once_and_returns_parents_own():
                   dict(base=state, column_sum=float(column.sum())))
              for _ in range(3)]
     stats = PoolStats()
-    outcomes = _run_pool(tasks, 2, _ThreadContext(), stats=stats)
-    for outcome in outcomes:
-        assert outcome is not None and outcome.failure is None
-        facts, returned = outcome.value
+    values = _run_pool(tasks, 2, stats=stats,
+                       executor=ThreadPoolExecutor)
+    for facts, returned in values:
         assert all(facts.values()), facts
         # a shipped atom in a result resolves to the parent's object
         assert returned is column
@@ -169,3 +170,48 @@ def test_pool_round_trip_ships_atoms_once_and_returns_parents_own():
     plain = len(pickle.dumps(tasks[0], protocol=pickle.HIGHEST_PROTOCOL))
     per_task = stats.ipc_task_bytes / stats.tasks
     assert per_task * 10 <= plain, (per_task, plain)
+
+
+# ---------------------------------------------------------------------
+# real spawn workers
+
+
+def _exit_hard(index):
+    """Worker target: task 1 kills its worker without a word."""
+    if index == 1:
+        os._exit(1)
+    return index
+
+
+def test_dead_worker_fails_the_run_naming_unfinished_tasks():
+    spec = "tests.test_runner_pool:_exit_hard"
+    tasks = [Task(spec, dict(index=i)) for i in range(3)]
+    with pytest.raises(ReproError) as excinfo:
+        run_tasks(tasks, parallel=2, cache=False)
+    err = excinfo.value
+    assert not isinstance(err, TaskError)
+    assert isinstance(err.__cause__, BrokenProcessPool)
+    assert "pool worker died" in str(err)
+    assert f"#1 {spec}" in str(err)  # the dead task got no result
+    assert not _atom_files()
+
+
+def _raise_in_worker(x):
+    if x == 7:
+        raise ValueError(f"bad cell {x}")
+    return x
+
+
+def test_worker_task_error_keeps_identity_and_traceback():
+    spec = "tests.test_runner_pool:_raise_in_worker"
+    tasks = [Task(spec, dict(x=x)) for x in (1, 7)]
+    with pytest.raises(TaskError) as excinfo:
+        run_tasks(tasks, parallel=2, cache=False)
+    err = excinfo.value
+    assert err.fn == spec
+    assert err.kwargs == _describe_kwargs(dict(x=7))
+    message = str(err)
+    assert "ValueError: bad cell 7" in message
+    assert "--- worker traceback ---" in message
+    assert "in _raise_in_worker" in message
+    assert not _atom_files()
