@@ -28,8 +28,8 @@ See ``examples/`` for full scenarios and ``benchmarks/`` for the harnesses
 that regenerate every figure of the paper's evaluation.
 """
 
-from .config import (ControllerConfig, EngineConfig, ExperimentConfig,
-                     MachineConfig, SchedulerConfig)
+from .config import (ControllerConfig, EngineConfig, MachineConfig,
+                     SchedulerConfig)
 from .core import (AdaptivePriorityMode, CpuLoadStrategy, DenseMode,
                    ElasticController, HtImcStrategy, NodePriorityQueue,
                    PerformanceModel, PetriNet, SparseMode, make_mode,
@@ -51,7 +51,6 @@ __all__ = [
     "__version__",
     # configuration
     "MachineConfig", "SchedulerConfig", "ControllerConfig", "EngineConfig",
-    "ExperimentConfig",
     # hardware / OS substrate
     "Machine", "Topology", "EnergyModel", "opteron_8387",
     "OperatingSystem", "Scheduler", "CpuSet", "Simulator", "TraceRecorder",

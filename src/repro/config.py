@@ -9,7 +9,7 @@ a controller with CPU-load thresholds ``thmin=10`` / ``thmax=70``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .units import gb_per_s, ghz, kib, mib, msec
@@ -127,10 +127,6 @@ class SchedulerConfig:
     context_switch_cost:
         Charged when a core dispatches a different thread than it last ran
         (register/TLB switch; cache warmth is modelled by the shared L3).
-    wakeup_spread:
-        When ``True`` new/woken threads are placed on the least-loaded core
-        of the whole allowed mask (the kernel's spreading heuristic); when
-        ``False`` they stay near their previous core.
     numa_balancing:
         Linux AutoNUMA: pages repeatedly accessed from a remote node are
         migrated to that node (off by default, like the paper's kernel
@@ -146,7 +142,6 @@ class SchedulerConfig:
     migration_cost: float = msec(0.05)
     minor_fault_cost: float = 3e-6
     context_switch_cost: float = 3e-6
-    wakeup_spread: bool = True
     numa_balancing: bool = False
     numa_migration_streak: int = 3
 
@@ -267,14 +262,3 @@ class EngineConfig:
     #: feed-forward extension (paper §VII): size each query's worker
     #: pool to its predicate-shaped footprint instead of one-per-core
     predicate_aware: bool = False
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Bundle of all configuration needed to run one experiment."""
-
-    machine: MachineConfig = field(default_factory=MachineConfig)
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    controller: ControllerConfig = field(default_factory=ControllerConfig)
-    engine: EngineConfig = field(default_factory=EngineConfig)
-    seed: int = 1729

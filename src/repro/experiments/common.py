@@ -43,7 +43,6 @@ from ..errors import ConfigError
 from ..hardware.counters import CounterSnapshot
 from ..hardware.prebuilt import opteron_8387
 from ..opsys.system import OperatingSystem
-from ..opsys.thread import reset_thread_ids
 from ..sim.state import SimState
 from ..sim.tracing import PlacementRecord, TraceRecorder
 from ..workloads.selectivity import (SELECTIVITY_LEVELS, selectivity_name,
@@ -184,7 +183,6 @@ def build_system(engine: str = "monetdb",
         A :class:`~repro.obs.Recorder` for telemetry; defaults to the
         process-wide recorder (the null one unless installed).
     """
-    reset_thread_ids()
     tracer = TraceRecorder()
     if not record_placements:
         tracer.mute(PlacementRecord)
@@ -285,19 +283,10 @@ def capture_system(sut: SystemUnderTest) -> SimState:
 def fork_system(base: SimState) -> SystemUnderTest:
     """Materialise one independent system from a captured warm prefix.
 
-    Restoring also seeds this process's dataset cache with the
-    capture's dataset — in a pool worker that dataset is backed by the
-    run's mapped atom file, so any later cold :func:`build_system`
-    in the same worker reuses it instead of regenerating megabytes of
-    columns.  Datasets are immutable by contract (the forked arrays are
-    read-only views), so seeding can never change results.
+    The thread-id counter is part of the captured operating system, so
+    the fork numbers its threads on from the base's, as a cold run would.
     """
-    sut = base.restore()
-    dataset = getattr(sut, "dataset", None)
-    if isinstance(dataset, TpchDataset):
-        _DATASETS.setdefault(
-            (dataset.scale, dataset.sim_scale, dataset.seed), dataset)
-    return sut
+    return base.restore()
 
 
 def warm_system(engine: str = "monetdb", *,

@@ -37,7 +37,6 @@ from ..db.numa_aware import NumaAwareEngine
 from ..errors import AllocationError
 from ..hardware.prebuilt import opteron_8387
 from ..opsys.system import OperatingSystem
-from ..opsys.thread import reset_thread_ids
 from ..sim.tracing import PlacementRecord, TraceRecorder
 from ..workloads.selectivity import selectivity_name, selectivity_query
 from .common import dataset_for
@@ -101,7 +100,6 @@ def run(n_clients: int = 6, repetitions: int = 2, scale: float = 0.01,
         strategy: str = "cpu_load", max_slices: int = 100_000,
         ) -> MultiTenantResult:
     """Run both tenants under concurrent controllers to completion."""
-    reset_thread_ids()
     tracer = TraceRecorder()
     tracer.mute(PlacementRecord)
     os_ = OperatingSystem(opteron_8387(), tracer=tracer)

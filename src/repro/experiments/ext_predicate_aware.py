@@ -79,18 +79,7 @@ def run(n_clients: int = 16, queries_per_client: int = 4,
             throughput=workload.throughput,
             mean_latency=workload.mean_latency(),
             tasks=sut.delta("tasks"),
-            threads_spawned=_threads_spawned(),
+            threads_spawned=float(sut.os.threads_spawned),
             ht_rate=sut.delta("ht_tx_bytes") / makespan,
         )
     return result
-
-
-def _threads_spawned() -> float:
-    """Worker threads created since the system was built.
-
-    ``build_system`` resets the global thread-id counter, so the counter
-    value after a run is exactly the number of threads the run spawned.
-    """
-    from ..opsys.thread import SimThread
-
-    return float(SimThread._next_id - 1)

@@ -32,9 +32,8 @@ from .export import (DECISIONS_JSONL, METRICS_JSONL, TRACE_JSON,
                      load_metrics_jsonl, metric_tenant, stats_table)
 from .health import (HealthConfig, HealthSuite, TenantHealth,
                      analyze_decisions)
-from .metrics import (HOST_TIME_BUCKETS, TIME_BUCKETS, VALUE_BUCKETS,
-                      Counter, Gauge, Histogram, MetricsRegistry,
-                      NullMetricsRegistry)
+from .metrics import (TIME_BUCKETS, VALUE_BUCKETS, Counter, Gauge,
+                      Histogram, MetricsRegistry, NullMetricsRegistry)
 from .provenance import (Decision, DecisionLog, NullDecisionLog,
                          dump_decisions, explain_decision, load_decisions)
 from .recorder import (NULL_RECORDER, NullRecorder, Recorder,
@@ -49,7 +48,7 @@ __all__ = [
     # metrics
     "MetricsRegistry", "NullMetricsRegistry",
     "Counter", "Gauge", "Histogram",
-    "TIME_BUCKETS", "HOST_TIME_BUCKETS", "VALUE_BUCKETS",
+    "TIME_BUCKETS", "VALUE_BUCKETS",
     # spans
     "SpanTracer", "NullSpanTracer", "SpanRecord", "chrome_trace_events",
     # provenance

@@ -29,9 +29,6 @@ from ..errors import ReproError
 #: second-scale latency buckets (simulated chunk/stage/query durations)
 TIME_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0)
 
-#: host-side pipeline-cost buckets (microseconds to milliseconds)
-HOST_TIME_BUCKETS = (1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2)
-
 #: metric-value buckets covering both %-scale (0-100) and ratio (0-1)
 #: controller strategies
 VALUE_BUCKETS = (0.1, 0.25, 0.5, 1.0, 10.0, 25.0, 50.0, 70.0, 90.0, 100.0)
@@ -134,21 +131,6 @@ class Histogram:
     def mean(self) -> float:
         """Arithmetic mean of the observations (0 when empty)."""
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper edge of the bucket holding the
-        ``q``-th observation (conservative; exact only per-bucket)."""
-        if not 0 <= q <= 1:
-            raise ReproError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for edge, n in zip(self.boundaries, self.bucket_counts):
-            seen += n
-            if seen >= rank and n:
-                return edge
-        return self.max
 
     def as_dict(self) -> dict:
         """Snapshot for JSON export."""
@@ -276,9 +258,6 @@ class NullHistogram:
 
     def observe(self, value: float) -> None:
         """Discard the observation."""
-
-    def quantile(self, q: float) -> float:
-        return 0.0
 
     def as_dict(self) -> dict:
         return {"name": "null", "kind": "histogram", "count": 0}

@@ -91,21 +91,6 @@ class DecisionLog:
         """Every decision in tick order."""
         return list(self._decisions)
 
-    def at_tick(self, tick: int) -> Decision:
-        """The decision of one controller tick."""
-        for decision in self._decisions:
-            if decision.tick == tick:
-                return decision
-        raise ReproError(f"no decision recorded for tick {tick}")
-
-    def with_action(self) -> list[Decision]:
-        """Only the decisions that changed the mask."""
-        return [d for d in self._decisions if d.action is not None]
-
-    def in_state(self, state: str) -> list[Decision]:
-        """Decisions whose pass classified into ``state``."""
-        return [d for d in self._decisions if d.state == state]
-
     def clear(self) -> None:
         """Drop all decisions."""
         self._decisions.clear()
@@ -123,12 +108,6 @@ class NullDecisionLog:
         return 0
 
     def all(self) -> list[Decision]:
-        return []
-
-    def with_action(self) -> list[Decision]:
-        return []
-
-    def in_state(self, state: str) -> list[Decision]:
         return []
 
     def clear(self) -> None:

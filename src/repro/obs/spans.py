@@ -116,10 +116,6 @@ class SpanTracer:
         self._records.append(record)
         return record
 
-    def open_depth(self, tid: int = 0) -> int:
-        """How many spans are currently open on ``tid``."""
-        return len(self._open.get(tid, ()))
-
     # -- sim-time complete spans ---------------------------------------
 
     def add_complete(self, name: str, start: float, duration: float,
@@ -132,13 +128,6 @@ class SpanTracer:
             name=name, start=start, duration=duration, track=track,
             tid=tid, args=args or {}))
 
-    def instant(self, name: str, time: float, track: str = "sim",
-                tid: int = 0, args: dict | None = None) -> None:
-        """Record a zero-duration marker event."""
-        self._records.append(SpanRecord(
-            name=name, start=time, duration=0.0, track=track, tid=tid,
-            args=args or {}))
-
     # -- retrieval ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -147,10 +136,6 @@ class SpanTracer:
     def all(self) -> list[SpanRecord]:
         """Every completed span, in completion order."""
         return list(self._records)
-
-    def of_track(self, track: str) -> list[SpanRecord]:
-        """Completed spans of one time domain."""
-        return [r for r in self._records if r.track == track]
 
     def clear(self) -> None:
         """Drop completed spans (open stacks are preserved)."""
@@ -223,20 +208,10 @@ class NullSpanTracer:
                      args: dict | None = None) -> None:
         """Discard the span."""
 
-    def instant(self, name: str, time: float, track: str = "sim",
-                tid: int = 0, args: dict | None = None) -> None:
-        """Discard the marker."""
-
-    def open_depth(self, tid: int = 0) -> int:
-        return 0
-
     def __len__(self) -> int:
         return 0
 
     def all(self) -> list[SpanRecord]:
-        return []
-
-    def of_track(self, track: str) -> list[SpanRecord]:
         return []
 
     def clear(self) -> None:

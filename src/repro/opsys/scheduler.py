@@ -247,9 +247,6 @@ class Scheduler:
                              + self.config.imbalance_threshold)
                 if not congested:
                     allowed = siblings
-        elif not self.config.wakeup_spread and thread.core is not None:
-            if guard.is_allowed(thread.core):
-                return thread.core
         return min(allowed, key=lambda c: (load[c], c))
 
     def _enqueue(self, thread: SimThread, core: int) -> None:

@@ -56,6 +56,10 @@ class OperatingSystem:
                  sim: Simulator | None = None,
                  obs=None):
         self.sim = sim if sim is not None else Simulator()
+        #: threads created through :meth:`spawn_thread`; the next one
+        #: gets this plus one as its id, so a capture carries the
+        #: numbering and a fork continues it
+        self.threads_spawned = 0
         self.machine = Machine(machine_config or MachineConfig())
         self.tracer = tracer if tracer is not None else TraceRecorder()
         #: telemetry recorder shared by every layer of this system;
@@ -115,8 +119,9 @@ class OperatingSystem:
                      on_exit=None,
                      tenant: str = DEFAULT_TENANT) -> SimThread:
         """Create and admit a thread in one call."""
-        thread = SimThread(source, name=name, process_id=process_id,
-                           pinned_core=pinned_core,
+        self.threads_spawned += 1
+        thread = SimThread(source, self.threads_spawned, name=name,
+                           process_id=process_id, pinned_core=pinned_core,
                            pinned_node=pinned_node, managed=managed,
                            on_exit=on_exit, tenant=tenant)
         self.scheduler.spawn(thread)

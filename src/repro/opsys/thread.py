@@ -18,7 +18,6 @@ from collections.abc import Callable
 from typing import Protocol
 
 from ..errors import SchedulerError
-from ..sim.state import register_global_state
 from .inventory import DEFAULT_TENANT
 from .workitem import WorkItem
 
@@ -53,17 +52,15 @@ class WorkSource(Protocol):
 class SimThread:
     """One schedulable worker."""
 
-    _next_id = 1
-
-    def __init__(self, source: WorkSource, name: str = "",
+    def __init__(self, source: WorkSource, tid: int, name: str = "",
                  process_id: int = 0,
                  pinned_core: int | None = None,
                  pinned_node: int | None = None,
                  managed: bool = True,
                  on_exit: Callable[["SimThread"], None] | None = None,
                  tenant: str = DEFAULT_TENANT):
-        self.tid = SimThread._next_id
-        SimThread._next_id += 1
+        #: id unique within the owning system (its spawn order)
+        self.tid = tid
         self.name = name or f"T{self.tid}"
         self.process_id = process_id
         self.source = source
@@ -116,24 +113,3 @@ class SimThread:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SimThread {self.name} state={self.state.value} "
                 f"core={self.core}>")
-
-
-def reset_thread_ids() -> None:
-    """Reset the global thread id counter (between experiments, so trace
-    thread ids are stable and runs remain comparable)."""
-    SimThread._next_id = 1
-
-
-def _get_next_thread_id() -> int:
-    return SimThread._next_id
-
-
-def _set_next_thread_id(value: int) -> None:
-    SimThread._next_id = value
-
-
-# the id counter lives outside any object graph, so snapshots record and
-# reinstate it through the sim layer's global-state registry — a forked
-# run hands out the same thread ids (and trace bytes) as a cold one
-register_global_state("opsys.thread.next_id",
-                      _get_next_thread_id, _set_next_thread_id)

@@ -23,9 +23,10 @@ band, then the small in-band header and the buffer spans.  Workers get
 only the file's path and ``mmap`` it read-only, so their arrays are
 zero-copy views.  Task and result pickles carry each atom as its
 position in that tuple (:func:`~repro.sim.state.dumps_shared`), so a
-forked cell ships kilobytes instead of the dataset.  Results are read
-back future by future in submission order, so parallel output is
-bit-identical to serial regardless of completion order.
+forked cell ships kilobytes instead of the dataset.  Before writing its
+file, a run deletes the atom files of runs killed before their cleanup.
+Results are read back future by future in submission order, so parallel
+output is bit-identical to serial regardless of completion order.
 
 Each parallel execution records a :class:`PoolStats` — per-worker
 utilisation, shipped IPC bytes, out-of-band atom bytes — retrievable via
@@ -70,6 +71,10 @@ _ALIGN = 64
 
 #: byte width of the atom file's trailing index-length field
 _LENGTH_BYTES = 8
+
+#: name prefix of an atom file in the temp directory; the pid of the
+#: process that wrote it follows
+_ATOM_PREFIX = "repro_atoms_"
 
 
 @dataclass(frozen=True)
@@ -317,6 +322,31 @@ def _publish(atoms: tuple[Any, ...], file: Any) -> int:
     return sum(size for _, size in spans)
 
 
+def _remove_orphaned_atoms() -> None:
+    """Delete atom files whose writing process no longer exists.
+
+    :func:`_run_pool` unlinks its file on the way out, but a SIGTERM or
+    SIGKILL skips that.  A file is kept while its pid is alive, and
+    when the pid's liveness cannot be read (another user's process).
+    """
+    directory = tempfile.gettempdir()
+    for name in os.listdir(directory):
+        if not name.startswith(_ATOM_PREFIX):
+            continue
+        pid = name[len(_ATOM_PREFIX):].partition("_")[0]
+        if not pid.isdigit():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            try:
+                os.unlink(os.path.join(directory, name))
+            except FileNotFoundError:
+                pass  # a concurrent run removed it first
+        except (PermissionError, OverflowError):
+            pass  # alive under another user, or too large to be a pid
+
+
 def _attach(path: str) -> tuple[Any, ...]:
     """Rebuild the atoms :func:`_publish` wrote, over a read-only map.
 
@@ -414,8 +444,9 @@ def _run_pool(task_list: list[Task], workers: int,
                     f"{exc}\n  kwargs: {described}",
                     fn=task.fn, kwargs=described) from exc
         stats.ipc_task_bytes = sum(map(len, payloads))
+        _remove_orphaned_atoms()
         fd, path = tempfile.mkstemp(
-            prefix=f"repro_atoms_{os.getpid()}_")
+            prefix=f"{_ATOM_PREFIX}{os.getpid()}_")
         with os.fdopen(fd, "wb") as file:
             stats.shm_bytes = _publish(atoms, file)
         pool = executor(max_workers=workers, initializer=_attach_worker,

@@ -9,7 +9,7 @@ written against :class:`~repro.sim.engine.Simulator`.
 from .engine import Event, Simulator, delivered_total
 from .export import dump_records, dump_tracer, load_records
 from .process import ProcessHandle, every, spawn_process
-from .state import SimState, register_global_state
+from .state import SimState
 from .tracing import (
     ControllerTick,
     CoreAllocation,
@@ -25,7 +25,6 @@ __all__ = [
     "Event",
     "Simulator",
     "SimState",
-    "register_global_state",
     "delivered_total",
     "spawn_process",
     "ProcessHandle",

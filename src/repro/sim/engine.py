@@ -281,8 +281,3 @@ class Simulator:
         from .state import SimState
         return SimState.capture(self if root is None else root,
                                 shared=shared)
-
-    @staticmethod
-    def restore(state) -> Any:
-        """Fork a captured graph; see :meth:`SimState.restore`."""
-        return state.restore()

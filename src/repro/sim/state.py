@@ -9,28 +9,24 @@ deserialisation: each call to :meth:`SimState.restore` produces a fresh,
 fully independent copy, and because pickling preserves within-graph object
 identity, the copy's internal wiring (scheduler -> machine -> counters,
 bound-method callbacks queued on the heap) is exactly the original's.
+A system's whole state is its object graph — it numbers its own threads,
+and no simulation state lives in a process global — so a fork continues
+exactly where its base stopped.
 
-Two mechanisms make the capture faithful *and* cheap:
+**Shared atoms** keep the capture cheap: immutable bulk data (the TPC-H
+dataset and its numpy columns) is externalised by identity via the pickle
+persistent-id hook instead of being serialised into the payload.  Every
+fork references the same arrays, which is safe because the simulation
+never mutates them, and keeps a snapshot at tens of kilobytes instead of
+tens of megabytes.  The same persistent-id pair (:func:`dumps_shared` /
+:func:`loads_shared`) keeps the atoms out of the worker pool's task and
+result pickles.  A mutable object every fork is meant to write into (a
+telemetry recorder and its sinks) is shared the same way.
 
-* **Shared atoms** — immutable bulk data (the TPC-H dataset and its numpy
-  columns) is externalised by identity via the pickle persistent-id hook
-  instead of being serialised into the payload.  Every fork references the
-  same arrays, which is safe because the simulation never mutates them,
-  and keeps a snapshot at tens of kilobytes instead of tens of megabytes.
-  The same persistent-id pair (:func:`dumps_shared` / :func:`loads_shared`)
-  keeps the atoms out of the worker pool's task and result pickles.
-  A mutable object every fork is meant to write into (a telemetry
-  recorder and its sinks) is shared the same way.
-* **Registered process globals** — state that lives outside any object
-  graph (the :class:`~repro.opsys.thread.SimThread` id counter) is
-  registered here with getter/setter pairs; :meth:`SimState.capture`
-  records the values and :meth:`SimState.restore` reinstates them, so a
-  forked run hands out the same thread ids as an uninterrupted one.
-
-A :class:`SimState` is itself picklable (payload bytes + shared tuple +
-plain values), so snapshots travel across the spawn pool: the parent warms
-one system, and ``repro run --parallel N`` ships the capture to workers
-that fork their cells from it.
+A :class:`SimState` is itself picklable (payload bytes + shared tuple), so
+snapshots travel across the spawn pool: the parent warms one system, and
+``repro run --parallel N`` ships the capture to workers that fork their
+cells from it.
 """
 
 from __future__ import annotations
@@ -38,35 +34,12 @@ from __future__ import annotations
 import hashlib
 import io
 import pickle
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from typing import Any
 
 from ..atoms import atom_digest as _atom_digest
 from ..errors import SimulationError
-
-#: name -> (get, set) for process-global state that must survive a
-#: capture/restore round trip (registered at module-import time by the
-#: layers that own such state)
-_GLOBAL_STATE: dict[str, tuple[Callable[[], Any],
-                               Callable[[Any], None]]] = {}
-
-
-def register_global_state(name: str, get: Callable[[], Any],
-                          set_: Callable[[Any], None]) -> None:
-    """Register process-global state to capture alongside object graphs.
-
-    ``get`` is called at capture time; ``set_`` replays the recorded value
-    at restore time, before the payload is deserialised.  Registering the
-    same name twice replaces the accessors (idempotent module reloads).
-    """
-    _GLOBAL_STATE[name] = (get, set_)
-
-
-def registered_globals() -> tuple[str, ...]:
-    """Names currently registered (introspection/tests)."""
-    return tuple(_GLOBAL_STATE)
-
 
 class _SharedPickler(pickle.Pickler):
     """Pickler externalising shared atoms by object identity."""
@@ -120,8 +93,6 @@ class SimState:
     payload: bytes
     #: the atoms referenced by identity from the payload
     shared: tuple[Any, ...] = ()
-    #: registered process-global values at capture time
-    globals_: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def capture(cls, root: Any, shared: Iterable[Any] = ()) -> "SimState":
@@ -141,21 +112,14 @@ class SimState:
                 f"cannot capture simulation state: {exc} (lambdas and "
                 f"local closures do not pickle; use a module-level "
                 f"class with __call__ instead)") from exc
-        values = {name: get() for name, (get, _) in _GLOBAL_STATE.items()}
-        return cls(payload=payload, shared=shared_atoms,
-                   globals_=values)
+        return cls(payload=payload, shared=shared_atoms)
 
     def restore(self) -> Any:
         """Materialise a fresh, independent copy of the captured graph.
 
-        Registered process globals are reinstated first, then the payload
-        is deserialised against the shared atoms.  Each call returns a
-        new copy; forks never alias each other's mutable state.
+        The payload is deserialised against the shared atoms.  Each call
+        returns a new copy; forks never alias each other's mutable state.
         """
-        for name, value in self.globals_.items():
-            entry = _GLOBAL_STATE.get(name)
-            if entry is not None:
-                entry[1](value)
         return loads_shared(self.payload, self.shared)
 
     # ------------------------------------------------------------------
@@ -165,8 +129,8 @@ class SimState:
 
         Stable across processes for identical captures: the payload bytes
         pin the graph, the shared atoms are digested by value (numpy
-        arrays via their raw buffer), and the registered globals by repr.
-        Memoised — the shared atoms can be megabytes.
+        arrays via their raw buffer).  Memoised — the shared atoms can be
+        megabytes.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
@@ -175,9 +139,6 @@ class SimState:
         digest.update(self.payload)
         for atom in self.shared:
             digest.update(_atom_digest(atom))
-        for name in sorted(self.globals_):
-            digest.update(name.encode())
-            digest.update(repr(self.globals_[name]).encode())
         value = digest.hexdigest()
         self.__dict__["_fingerprint"] = value
         return value

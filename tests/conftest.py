@@ -7,16 +7,7 @@ import pytest
 from repro.config import MachineConfig, SchedulerConfig
 from repro.hardware.prebuilt import opteron_8387, small_numa
 from repro.opsys.system import OperatingSystem
-from repro.opsys.thread import reset_thread_ids
 from repro.workloads.tpch import build_queries, generate
-
-
-@pytest.fixture(autouse=True)
-def _fresh_thread_ids():
-    """Keep thread ids deterministic per test."""
-    reset_thread_ids()
-    yield
-    reset_thread_ids()
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.config import (ControllerConfig, EngineConfig, ExperimentConfig,
-                          MachineConfig, SchedulerConfig)
+from repro.config import (ControllerConfig, EngineConfig, MachineConfig,
+                          SchedulerConfig)
 from repro.errors import ConfigError
 
 
@@ -89,8 +89,3 @@ class TestEngineAndExperiment:
         assert config.workers_follow_mask is True
         assert config.loader_node == 0
         assert config.numa_aware is False
-
-    def test_experiment_bundles_defaults(self):
-        config = ExperimentConfig()
-        assert config.machine.n_cores == 16
-        assert config.seed == 1729

@@ -66,7 +66,7 @@ class TestSparseDense:
 
 class TestPriorityQueue:
     def _thread_with(self, pages_by_node):
-        thread = SimThread(ListWorkSource())
+        thread = SimThread(ListWorkSource(), tid=1)
         thread.pages_by_node.update(pages_by_node)
         return thread
 

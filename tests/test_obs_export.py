@@ -43,7 +43,7 @@ class TestChromeTraceFile:
         tracer = SpanTracer()
         tracer.add_complete("stage:scan", start=0.5, duration=0.25,
                             tid=3)
-        tracer.instant("mask", time=1.0)
+        tracer.add_complete("mask", start=1.0, duration=0.0)
         path = tmp_path / "trace.json"
         assert dump_chrome_trace(tracer, path) == 2
         document = json.loads(path.read_text())

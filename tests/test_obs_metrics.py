@@ -65,19 +65,6 @@ class TestHistogram:
         # le="1" semantics: the observation is <= the first edge
         assert h.bucket_counts == [1, 0, 0]
 
-    def test_quantile_is_bucket_edge(self):
-        h = Histogram("x", (1.0, 10.0, 100.0))
-        for _ in range(9):
-            h.observe(0.5)
-        h.observe(50.0)
-        assert h.quantile(0.5) == 1.0
-        assert h.quantile(1.0) == 100.0
-        assert h.quantile(0.0) == 0.0 or h.quantile(0.0) <= 1.0
-
-    def test_quantile_rejects_out_of_range(self):
-        with pytest.raises(ReproError):
-            Histogram("x").quantile(1.5)
-
     def test_rejects_unsorted_boundaries(self):
         with pytest.raises(ReproError):
             Histogram("x", (10.0, 1.0))

@@ -190,8 +190,8 @@ class TestLoadBalancing:
         os_ = make_os(balance_interval=10.0)
         sched = os_.scheduler
         threads = []
-        for _ in range(2000):
-            thread = SimThread(ListWorkSource())
+        for tid in range(1, 2001):
+            thread = SimThread(ListWorkSource(), tid)
             thread.state = ThreadState.READY
             sched._live_threads += 1
             sched.threads.add(thread)
@@ -221,6 +221,7 @@ class TestLoadBalancing:
 
         def queue_on_core_0(pinned_node):
             thread = SimThread(ListWorkSource([scan_item(os_, node=0)]),
+                               len(sched.threads) + 1,
                                pinned_node=pinned_node)
             thread.state = ThreadState.READY
             sched._live_threads += 1

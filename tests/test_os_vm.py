@@ -19,7 +19,7 @@ def vm():
 
 
 def _thread():
-    return SimThread(ListWorkSource())
+    return SimThread(ListWorkSource(), tid=1)
 
 
 def test_first_touch_places_and_faults(vm):

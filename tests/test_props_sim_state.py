@@ -92,7 +92,7 @@ def test_forked_run_matches_uninterrupted(program, ticks, period, split):
     warm = _Harness(program, ticks, period)
     warm.sim.run(max_events=split)
     state = warm.sim.snapshot(root=warm)
-    fork = Simulator.restore(state)
+    fork = state.restore()
     fork.sim.run()
 
     assert fork.log == cold.log
@@ -101,7 +101,7 @@ def test_forked_run_matches_uninterrupted(program, ticks, period, split):
 
     # restoring is repeatable: a second fork of the same capture replays
     # the identical suffix, untouched by the first fork's run
-    again = Simulator.restore(state)
+    again = state.restore()
     again.sim.run()
     assert again.log == cold.log
 
@@ -133,7 +133,7 @@ def test_divergent_suffixes_match_cell_by_cell(program, split, extra):
     warm = _Harness(program, 0, 0.125)
     warm.sim.run(max_events=split)
     state = warm.sim.snapshot(root=warm)
-    fork = Simulator.restore(state)
+    fork = state.restore()
     _suffix(fork)
 
     assert fork.log == cold.log

@@ -256,7 +256,7 @@ def _system(l3_pages: int, slow_links: bool, reference: bool,
                        migration_streak=max(streak, 1))
     for n in (12, 20, 8):
         machine.memory.allocate(n)
-    threads = [SimThread(ListWorkSource()) for _ in range(2)]
+    threads = [SimThread(ListWorkSource(), tid) for tid in (1, 2)]
     return machine, vm, threads
 
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -170,6 +173,22 @@ def test_pool_round_trip_ships_atoms_once_and_returns_parents_own():
     plain = len(pickle.dumps(tasks[0], protocol=pickle.HIGHEST_PROTOCOL))
     per_task = stats.ipc_task_bytes / stats.tasks
     assert per_task * 10 <= plain, (per_task, plain)
+
+
+def test_pool_removes_atom_files_of_dead_processes(tmp_path, monkeypatch):
+    # a killed run never reaches its unlink; the next run sweeps its file
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    reaped = subprocess.Popen([sys.executable, "-c", "pass"])
+    reaped.wait()
+    orphan = tmp_path / f"repro_atoms_{reaped.pid}_dead"
+    live = tmp_path / f"repro_atoms_{os.getpid()}_live"
+    orphan.write_bytes(b"x")
+    live.write_bytes(b"x")
+    tasks = [Task("tests.test_runner_pool:_double", dict(x=x))
+             for x in (1, 2)]
+    assert _run_pool(tasks, 2, executor=ThreadPoolExecutor) == [2, 4]
+    assert not orphan.exists()
+    assert live.exists()
 
 
 # ---------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The property tests in ``tests/test_props_sim_state.py`` pin the
 behavioural equivalence of forked vs uninterrupted runs over random
 programs; these tests pin the mechanism piece by piece — shared-atom
-identity, registered globals, pickle-ability of the capture itself, the
-guard rails, and the lazy-cancel heap compaction bookkeeping.
+identity, per-system thread numbering, pickle-ability of the capture
+itself, the guard rails, and the lazy-cancel heap compaction bookkeeping.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ from repro.core.strategies import CpuLoadStrategy
 from repro.errors import SimulationError
 from repro.hardware.prebuilt import small_numa
 from repro.opsys.system import OperatingSystem
-from repro.opsys.thread import reset_thread_ids
 from repro.opsys.workitem import ListWorkSource, WorkItem
 from repro.sim.engine import _COMPACT_MIN_DEAD, Simulator
-from repro.sim.state import (SimState, register_global_state,
-                             registered_globals)
+from repro.sim.state import SimState
 
 
 class _Append:
@@ -69,7 +67,7 @@ def test_fork_resumes_identically_to_uninterrupted_run():
     warm.schedule(8)
     warm.sim.run(max_events=3)
     state = warm.sim.snapshot(root=warm)
-    fork = Simulator.restore(state)
+    fork = state.restore()
     fork.sim.run()
     assert fork.log == cold.log
     assert fork.sim.now == cold.sim.now
@@ -82,10 +80,10 @@ def test_each_restore_is_an_independent_fork():
     base.sim.run(max_events=2)
     state = base.sim.snapshot(root=base)
 
-    first = Simulator.restore(state)
+    first = state.restore()
     first.sim.run()
     # the first fork's run must not disturb the capture
-    second = Simulator.restore(state)
+    second = state.restore()
     second.sim.run()
     assert first.log == second.log
     assert first.log is not second.log
@@ -98,8 +96,8 @@ def test_rng_stream_is_captured():
     base.schedule(4)
     base.sim.run(max_events=2)  # advances base.rng
     state = base.sim.snapshot(root=base)
-    fork_a = Simulator.restore(state)
-    fork_b = Simulator.restore(state)
+    fork_a = state.restore()
+    fork_b = state.restore()
     fork_a.sim.run()
     fork_b.sim.run()
     # both forks continue the RNG stream from the same point
@@ -113,7 +111,7 @@ def test_shared_atoms_are_referenced_not_copied():
     base.schedule(2)
     state = base.sim.snapshot(root=base, shared=(atom,))
     assert state.size_bytes() < atom.nbytes  # externalised, not inlined
-    fork = Simulator.restore(state)
+    fork = state.restore()
     assert fork.atom is atom
 
 
@@ -121,7 +119,7 @@ def test_unshared_atoms_are_deep_copied():
     atom = np.arange(10, dtype=np.float64)
     base = _Harness(atom=atom)
     state = base.sim.snapshot(root=base)
-    fork = Simulator.restore(state)
+    fork = state.restore()
     assert fork.atom is not atom
     assert np.array_equal(fork.atom, atom)
 
@@ -134,8 +132,8 @@ def test_simstate_itself_pickles():
     base.sim.run(max_events=2)
     state = base.sim.snapshot(root=base, shared=(atom,))
     clone = pickle.loads(pickle.dumps(state))
-    fork_direct = Simulator.restore(state)
-    fork_shipped = Simulator.restore(clone)
+    fork_direct = state.restore()
+    fork_shipped = clone.restore()
     fork_direct.sim.run()
     fork_shipped.sim.run()
     assert fork_shipped.log == fork_direct.log
@@ -167,26 +165,6 @@ def test_capture_rejects_unpicklable_graphs_with_hint():
         sim.snapshot()
 
 
-def test_registered_globals_round_trip():
-    box = {"value": 7}
-    register_global_state("test.box", lambda: box["value"],
-                          lambda v: box.__setitem__("value", v))
-    try:
-        sim = Simulator()
-        state = sim.snapshot()
-        box["value"] = 99
-        Simulator.restore(state)
-        assert box["value"] == 7
-        assert state.globals_["test.box"] == 7
-    finally:
-        from repro.sim import state as state_mod
-        state_mod._GLOBAL_STATE.pop("test.box", None)
-
-
-def test_thread_id_counter_is_registered():
-    assert "opsys.thread.next_id" in registered_globals()
-
-
 def test_fingerprint_is_stable_and_content_sensitive():
     def build(n):
         h = _Harness()
@@ -205,8 +183,7 @@ def test_restore_rejects_unknown_shared_atom():
     atom = np.arange(4, dtype=np.float64)
     base = _Harness(atom=atom)
     state = base.sim.snapshot(root=base, shared=(atom,))
-    stripped = SimState(payload=state.payload, shared=(),
-                        globals_=state.globals_)
+    stripped = SimState(payload=state.payload, shared=())
     with pytest.raises(SimulationError, match="shared atom"):
         stripped.restore()
 
@@ -315,7 +292,7 @@ def test_populated_event_queue_round_trips():
     base.sim.cancel(base.sim.schedule(11.0, _Append(base, 98)))
 
     state = base.sim.snapshot(root=base)
-    fork = Simulator.restore(state)
+    fork = state.restore()
     assert fork.sim.pending() == base.sim.pending()
     assert fork.sim._queued() == base.sim._queued()
 
@@ -334,7 +311,7 @@ def test_forked_queue_keeps_sequence_continuity():
     base.sim.schedule(1.0, _Append(base, 0))
     state = base.sim.snapshot(root=base)
 
-    for harness in (base, Simulator.restore(state)):
+    for harness in (base, state.restore()):
         harness.sim.schedule(1.0, _Append(harness, 1))
         harness.sim.run_until_idle()
     fork_log = harness.log
@@ -348,7 +325,6 @@ def test_forked_queue_keeps_sequence_continuity():
 
 def _two_tenant_system():
     """Two tenants, each behind its own controller, with queued scans."""
-    reset_thread_ids()
     os_ = OperatingSystem(small_numa())
     for node, tenant in enumerate(("left", "right")):
         os_.create_tenant(tenant)
@@ -380,3 +356,27 @@ def test_two_tenant_system_with_controllers_round_trips():
     assert fork.tracer.all() == cold.tracer.all()
     assert fork.inventory.leases() == cold.inventory.leases()
     assert fork.now == cold.now
+
+
+def _spawn_idle(os_, count):
+    return [os_.spawn_thread(ListWorkSource()).tid for _ in range(count)]
+
+
+def test_each_system_numbers_its_threads_from_one():
+    first = OperatingSystem(small_numa())
+    second = OperatingSystem(small_numa())
+    assert _spawn_idle(first, 3) == [1, 2, 3]
+    assert _spawn_idle(second, 2) == [1, 2]
+    assert _spawn_idle(first, 1) == [4]
+
+
+def test_fork_continues_the_base_thread_numbering():
+    base = OperatingSystem(small_numa())
+    _spawn_idle(base, 3)
+    state = SimState.capture(base)
+    # an unrelated system built in between must not shift the fork's ids
+    _spawn_idle(OperatingSystem(small_numa()), 5)
+    assert _spawn_idle(state.restore(), 2) == [4, 5]
+    assert _spawn_idle(state.restore(), 1) == [4]
+    # the uninterrupted (cold) run hands out the same next id
+    assert _spawn_idle(base, 2) == [4, 5]

@@ -40,7 +40,8 @@ def test_validator_runs_across_engines():
 
 def test_detects_duplicated_thread():
     sut = build_system(scale=SCALE, sim_scale=SIM)
-    thread = SimThread(ListWorkSource([WorkItem("x", cycles=1e9)]))
+    thread = SimThread(ListWorkSource([WorkItem("x", cycles=1e9)]),
+                       sut.os.threads_spawned + 1)
     thread.state = ThreadState.READY
     sut.os.scheduler.threads.add(thread)
     sut.os.scheduler._queues[0].append(thread)
@@ -51,7 +52,8 @@ def test_detects_duplicated_thread():
 
 def test_detects_orphaned_runnable_thread():
     sut = build_system(scale=SCALE, sim_scale=SIM)
-    thread = SimThread(ListWorkSource([WorkItem("x", cycles=1e9)]))
+    thread = SimThread(ListWorkSource([WorkItem("x", cycles=1e9)]),
+                       sut.os.threads_spawned + 1)
     thread.state = ThreadState.READY
     sut.os.scheduler.threads.add(thread)
     with pytest.raises(InvariantViolation, match="absent from every"):
@@ -61,7 +63,8 @@ def test_detects_orphaned_runnable_thread():
 def test_detects_queued_thread_on_released_core():
     sut = build_system(scale=SCALE, sim_scale=SIM)
     sut.os.cpuset.set_mask([0, 1])
-    thread = SimThread(ListWorkSource([WorkItem("x", cycles=1e9)]))
+    thread = SimThread(ListWorkSource([WorkItem("x", cycles=1e9)]),
+                       sut.os.threads_spawned + 1)
     thread.state = ThreadState.READY
     sut.os.scheduler.threads.add(thread)
     sut.os.scheduler._queues[5].append(thread)
@@ -85,7 +88,8 @@ def test_detects_controller_desync():
 
 def test_detects_bad_queue_state():
     sut = build_system(scale=SCALE, sim_scale=SIM)
-    thread = SimThread(ListWorkSource([WorkItem("x", cycles=1e9)]))
+    thread = SimThread(ListWorkSource([WorkItem("x", cycles=1e9)]),
+                       sut.os.threads_spawned + 1)
     thread.state = ThreadState.BLOCKED
     sut.os.scheduler._queues[0].append(thread)
     with pytest.raises(InvariantViolation, match="state blocked"):
