@@ -8,12 +8,12 @@ seconds of simulated time it runs one pass:
 2. **decide** — the strategy reduces the sample to its metric, which is
    deposited into the PrT model's ``Checks`` place; transitions fire
    until the token returns;
-3. **plan** — the :class:`~repro.control.ModePlanner` turns the fired
-   ``t5``/``t4`` action into a :class:`~repro.control.CoreDelta` naming
-   the core the allocation mode picks, avoiding cores other tenants hold;
-4. **apply** — the :class:`~repro.control.LeaseActuator` enacts the
-   delta through the system's core-lease inventory; the cpuset edit is
-   what the OS scheduler sees.
+3. **plan** — the fired ``t5``/``t4`` action names at most one core
+   (the paper moves one core per tick), picked by the allocation mode
+   among the cores neither this tenant nor any other one holds;
+4. **apply** — that core is leased or returned through the system's
+   :class:`~repro.opsys.inventory.CoreInventory`, which edits the
+   tenant's cpuset: the mask the OS scheduler sees.
 
 The controller keeps ticking while database threads are live and parks
 itself otherwise (restart with :meth:`kick` when a new workload begins, or
@@ -24,17 +24,16 @@ Lifecycle is an explicit state machine: ``new -> running -> stopped``.
 from __future__ import annotations
 
 from ..config import ControllerConfig, preflight_defects
-from ..control.stages import LeaseActuator, ModePlanner
 from ..errors import AllocationError, ModelConfigurationError
 from ..obs.metrics import VALUE_BUCKETS
 from ..obs.provenance import Decision
 from ..opsys.inventory import DEFAULT_TENANT
 from ..opsys.system import OperatingSystem
-from ..sim.tracing import ControllerTick, TransitionRecord
+from ..sim.tracing import ControllerTick, CoreAllocation, TransitionRecord
 from .lonc import LoncTracker
 from .model import PerformanceModel, TransitionChain
 from .modes import AdaptivePriorityMode, AllocationMode
-from .monitor import Monitor
+from .monitor import Monitor, MonitorSample
 from .strategies import TransitionStrategy
 
 
@@ -74,17 +73,13 @@ class ElasticController:
                 n_min=self.config.min_cores,
                 initial_cores=self.config.initial_cores)
         self.keepalive = keepalive
-        self.lonc = LoncTracker(strategy.th_min, strategy.th_max)
+        self.lonc = LoncTracker()
         self.ticks = 0
         self._lifecycle = "new"
         self._tick_scheduled = False
-        self.actuator = LeaseActuator(os, tenant)
-        if tenant == DEFAULT_TENANT:
-            self.monitor = Monitor(os)
-        else:
-            self.monitor = Monitor(
-                os, cpuset=os.inventory.cpuset_of(tenant), tenant=tenant)
-        self.planner = ModePlanner(mode, self.actuator, os.topology.n_cores)
+        self.inventory = os.inventory
+        self.cpuset = os.inventory.cpuset_of(tenant)
+        self.monitor = Monitor(os, tenant)
         # telemetry: instruments bound once; all no-ops when the
         # system's recorder is the null one.  The default tenant keeps
         # the legacy names; other tenants get their own namespace.
@@ -137,8 +132,16 @@ class ElasticController:
             raise_on_findings(verify_performance_model(self.model))
         self._lifecycle = "running"
         self._refresh_priority()
-        initial = self.planner.initial_mask(self.config.initial_cores)
-        self.actuator.seed(initial)
+        # seed around the cores other tenants already hold
+        taken = set(self.inventory.unavailable_to(self.tenant))
+        initial: list[int] = []
+        for _ in range(self.config.initial_cores):
+            core = self.mode.next_allocation(frozenset(taken))
+            taken.add(core)
+            initial.append(core)
+        self.inventory.seed(self.tenant, initial)
+        for core in initial:
+            self._trace(core, allocated=True)
         self._g_cores.set(self.n_allocated)
         self.monitor.prime()
         self._schedule_tick()
@@ -161,7 +164,7 @@ class ElasticController:
     @property
     def n_allocated(self) -> int:
         """Cores this tenant currently holds."""
-        return self.actuator.n_allocated
+        return len(self.cpuset)
 
     # ------------------------------------------------------------------
     # the pipeline
@@ -180,8 +183,8 @@ class ElasticController:
         self.os.tracer.emit(ControllerTick(
             time=self.os.now, metric=chain.metric,
             state=chain.state, n_allocated=self.n_allocated))
-        watched = (None if self.tenant == DEFAULT_TENANT else self.tenant)
-        if self.keepalive or self.os.scheduler.live_threads(watched) > 0:
+        if (self.keepalive
+                or self.os.scheduler.live_threads(self.monitor.counted) > 0):
             self._schedule_tick()
 
     def run_pipeline_once(self) -> TransitionChain:
@@ -206,32 +209,29 @@ class ElasticController:
                 self._refresh_priority()
             with spans.span("controller.fire"):
                 chain = model.run_cycle(metric)
-            self.lonc.record(metric, self.n_allocated)
+            self.lonc.record(chain.state, self.n_allocated)
             cores_before = self.n_allocated
             with spans.span("controller.plan"):
-                delta = self.planner.plan(chain.action)
+                core = self._plan(chain.action)
             with spans.span("controller.apply"):
-                self.actuator.apply(delta)
+                if core is not None:
+                    self._apply(chain.action == "allocate", core)
                 self._sync_model()
-                if delta.allocate:
-                    self._c_allocations.inc()
-                elif delta.release:
-                    self._c_releases.inc()
         self._c_ticks.inc()
         self._h_metric.observe(metric)
         self._g_cores.set(self.n_allocated)
         self._c_fired[chain.entry].inc()
         self._c_fired[chain.exit].inc()
         if self.obs.enabled:
-            self._record_decision(sample, chain, delta.first_core,
-                                  cores_before)
+            self._record_decision(sample, chain, core, cores_before)
         self.ticks += 1
         self.os.tracer.emit(TransitionRecord(
             time=self.os.now, label=chain.label, state=chain.state,
             value=metric, cores_after=self.n_allocated))
         return chain
 
-    def _record_decision(self, sample, chain: TransitionChain,
+    def _record_decision(self, sample: MonitorSample,
+                         chain: TransitionChain,
                          core: int | None, cores_before: int) -> None:
         """Capture the full causal chain of one pass.
 
@@ -272,6 +272,44 @@ class ElasticController:
     # model/placement upkeep
     # ------------------------------------------------------------------
 
+    def _plan(self, action: str | None) -> int | None:
+        """The core an ``"allocate"`` / ``"release"`` action moves.
+
+        An allocation avoids this tenant's own cores and every core
+        another tenant holds.  When that blocks the whole machine the
+        tick is starved and moves nothing: the model's ``t5`` guard
+        only knows this tenant's count, so under contention this is a
+        normal outcome, and :meth:`_sync_model` puts the model back.
+        """
+        if action == "allocate":
+            blocked = (self.cpuset.allowed()
+                       | self.inventory.unavailable_to(self.tenant))
+            if len(blocked) >= self.os.topology.n_cores:
+                return None
+            return self.mode.next_allocation(blocked)
+        if action == "release":
+            return self.mode.next_release(self.cpuset.allowed())
+        return None
+
+    def _apply(self, allocate: bool, core: int) -> None:
+        """Lease or return ``core``; a refused lease changes nothing."""
+        if allocate:
+            self.inventory.acquire(self.tenant, core)
+            self._c_allocations.inc()
+        else:
+            # the model's release guard keeps the tenant above its
+            # min_cores, which start() refuses below the inventory's
+            # floor, so the inventory never refuses this
+            self.inventory.release(self.tenant, core)
+            self._c_releases.inc()
+        self._trace(core, allocated=allocate)
+
+    def _trace(self, core: int, allocated: bool) -> None:
+        self.os.tracer.emit(CoreAllocation(
+            time=self.os.now, core_id=core,
+            node_id=self.os.topology.node_of_core(core),
+            allocated=allocated, n_allocated=len(self.cpuset)))
+
     def _refresh_priority(self) -> None:
         if isinstance(self.mode, AdaptivePriorityMode):
             self.mode.queue.update(
@@ -279,9 +317,9 @@ class ElasticController:
                 fallback=self.os.machine.memory.placement_histogram())
 
     def _sync_model(self) -> None:
-        # the PrT net's Provision token and the actuator's holdings must
+        # the PrT net's Provision token and the tenant's leases must
         # agree — also after a starved tick (no free core), where the
         # fired transition moved the token but the machine did not change
         assert self.model is not None
-        if self.model.nalloc != self.actuator.n_allocated:
-            self.model.sync_nalloc(self.actuator.n_allocated)
+        if self.model.nalloc != self.n_allocated:
+            self.model.sync_nalloc(self.n_allocated)

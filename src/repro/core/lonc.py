@@ -41,21 +41,14 @@ class LoncReport:
 
 @dataclass
 class LoncTracker:
-    """Accumulates per-tick state classifications and core counts."""
+    """Accumulates per-tick performance states and core counts."""
 
-    th_min: float
-    th_max: float
     _states: list[str] = field(default_factory=list)
     _cores: list[int] = field(default_factory=list)
 
-    def record(self, metric: float, n_cores: int) -> None:
-        """Register one monitoring tick."""
-        if metric <= self.th_min:
-            state = "Idle"
-        elif metric >= self.th_max:
-            state = "Overload"
-        else:
-            state = "Stable"
+    def record(self, state: str, n_cores: int) -> None:
+        """Register one monitoring tick: the state the PrT net's entry
+        transition reached (``Idle`` / ``Stable`` / ``Overload``)."""
         self._states.append(state)
         self._cores.append(n_cores)
 

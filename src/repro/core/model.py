@@ -136,7 +136,6 @@ class PerformanceModel:
         self.n_total = n_total
         self.n_min = n_min
         self.net = self._build(initial_cores)
-        self.chains: list[TransitionChain] = []
 
     # ------------------------------------------------------------------
 
@@ -237,11 +236,9 @@ class PerformanceModel:
         if len(fired) != 2:
             raise PetriNetError(f"unexpected firing chain {fired}")
         entry, exit_ = fired
-        chain = TransitionChain(
+        return TransitionChain(
             entry=entry, state=_STATE_OF[entry], exit=exit_,
             metric=metric, nalloc_after=self.nalloc)
-        self.chains.append(chain)
-        return chain
 
     def sync_nalloc(self, nalloc: int) -> None:
         """Force the ``Provision`` marking (when the controller could not

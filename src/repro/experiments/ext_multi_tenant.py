@@ -1,9 +1,9 @@
 """Extension — two elastic controllers sharing one machine.
 
 The paper runs *one* mechanism instance governing *one* database cgroup.
-Each controller's :class:`~repro.control.LeaseActuator` holds core leases
-against the machine-wide :class:`~repro.opsys.CoreInventory`, and its
-planner skips cores other tenants hold, so nothing stops a second
+Each :class:`~repro.core.ElasticController` holds its tenant's core
+leases against the machine-wide :class:`~repro.opsys.CoreInventory`, and
+never allocates a core another tenant holds, so nothing stops a second
 controller from governing a second tenant on the same box — provided the
 inventory keeps their core sets disjoint.
 

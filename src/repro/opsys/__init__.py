@@ -12,7 +12,7 @@ This package stands in for the Linux kernel facilities the paper relies on:
 
 from .cpuset import CpuSet
 from .inventory import DEFAULT_TENANT, CoreInventory, CoreLease
-from .loadstats import LoadSample, LoadSampler
+from .loadstats import LoadSample
 from .scheduler import Scheduler
 from .system import OperatingSystem
 from .thread import SimThread, ThreadState, WorkSource
@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_TENANT",
     "VirtualMemory",
     "Scheduler",
-    "LoadSampler",
     "LoadSample",
     "OperatingSystem",
 ]

@@ -167,27 +167,21 @@ class CoreInventory:
         entry.cpuset.set_mask(wanted)
 
     def acquire(self, tenant: str, core: int) -> CoreLease:
-        """Lease one free core to ``tenant`` and expose it in its mask."""
+        """Lease one free core to ``tenant`` and expose it in its mask.
+
+        Every check runs before the first edit: allowing the core runs
+        the scheduler's mask listener, which may move a thread at once.
+        """
         entry = self._entry(tenant)
-        self.check_free((core,))
+        if not 0 <= core < self.n_cores:
+            raise LeaseError(f"core {core} is not an online core")
+        owner = self._owner.get(core)
+        if owner is not None:
+            raise LeaseError(
+                f"core {core} is already leased to tenant {owner!r}")
         self._owner[core] = tenant
         entry.cpuset.allow(core)
         return CoreLease(tenant=tenant, core=core)
-
-    def check_free(self, cores: Iterable[int]) -> None:
-        """Refuse, leasing nothing, unless :meth:`acquire` can take
-        every core in ``cores``: each online, free and named once."""
-        seen: set[int] = set()
-        for core in cores:
-            if not 0 <= core < self.n_cores:
-                raise LeaseError(f"core {core} is not an online core")
-            owner = self._owner.get(core)
-            if owner is not None:
-                raise LeaseError(
-                    f"core {core} is already leased to tenant {owner!r}")
-            if core in seen:
-                raise LeaseError(f"core {core} is requested twice")
-            seen.add(core)
 
     def release(self, tenant: str, core: int) -> None:
         """Return one of ``tenant``'s leased cores to the free pool."""

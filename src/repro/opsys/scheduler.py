@@ -129,8 +129,16 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def spawn(self, thread: SimThread) -> None:
-        """Admit a new thread and place it."""
+        """Admit a new thread and place it.
+
+        A managed thread must belong to a tenant with a registered mask;
+        otherwise there is no cpuset to confine it to.
+        """
         thread.require_state(ThreadState.NEW)
+        if thread.managed and thread.tenant not in self._tenant_masks:
+            raise SchedulerError(
+                f"thread {thread.tid} belongs to tenant {thread.tenant!r}, "
+                f"which has no registered mask")
         thread.state = ThreadState.READY
         thread.spawned_at = self.sim.now
         self._live_threads += 1
@@ -201,7 +209,7 @@ class Scheduler:
         """The cpuset confining ``thread`` (``None`` for unmanaged)."""
         if not thread.managed:
             return None
-        return self._tenant_masks.get(thread.tenant, self.cpuset)
+        return self._tenant_masks[thread.tenant]
 
     def _may_run_on(self, thread: SimThread, core: int) -> bool:
         """Whether ``thread``'s tenant mask allows ``core``."""

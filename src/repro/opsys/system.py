@@ -17,7 +17,6 @@ from ..sim.engine import Simulator
 from ..sim.tracing import TraceRecorder
 from .cpuset import CpuSet
 from .inventory import DEFAULT_TENANT, CoreInventory
-from .loadstats import LoadSampler
 from .scheduler import Scheduler
 from .thread import SimThread, WorkSource
 from .vm import VirtualMemory
@@ -77,7 +76,6 @@ class OperatingSystem:
         self.scheduler = Scheduler(self.sim, self.machine, self.vm,
                                    self.cpuset, sched_cfg, self.tracer,
                                    obs=self.obs)
-        self.load_sampler = LoadSampler(self.machine, self.cpuset)
         self._c_sim_events = self.obs.metrics.counter("sim.events")
         self.cpuset.subscribe(_TenantCpusetTelemetry(
             self.cpuset, self.obs.metrics, "cpuset"))

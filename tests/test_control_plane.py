@@ -1,17 +1,17 @@
 """The controller's lifecycle, core placement and tenancy.
 
-Covers the controller's explicit lifecycle state machine, the planner's
-foreign-core avoidance, the model staying in sync with the leases when
-no core is free, the tenant-floor pre-flight check, and two controllers
-coexisting on one machine through the core-lease inventory.
+Covers the controller's explicit lifecycle state machine, its
+foreign-core avoidance when it places a core, the model staying in sync
+with the leases when no core is free, the tenant-floor pre-flight check,
+and two controllers coexisting on one machine through the core-lease
+inventory.
 """
 
 import pytest
 
 from repro.config import ControllerConfig
-from repro.control import CoreDelta, LeaseActuator, ModePlanner, NO_CHANGE
 from repro.core.controller import ElasticController
-from repro.core.modes import DenseMode, make_mode
+from repro.core.modes import make_mode
 from repro.core.strategies import CpuLoadStrategy
 from repro.errors import (AllocationError, LeaseError,
                           ModelConfigurationError, SchedulerError)
@@ -110,54 +110,65 @@ def test_kick_after_park_runs_one_more_pass():
 
 
 # ----------------------------------------------------------------------
-# stage pieces
+# core placement
 # ----------------------------------------------------------------------
 
-def test_core_delta_truthiness_and_first_core():
-    assert not NO_CHANGE
-    assert NO_CHANGE.first_core is None
-    assert CoreDelta(allocate=(3,)).first_core == 3
-    assert CoreDelta(release=(5,)).first_core == 5
-    assert bool(CoreDelta(release=(5,)))
+def hogged_controller(hog_cores, initial_cores=1):
+    """A controller of tenant "t" on a machine where tenant "hog"
+    already leases ``hog_cores``."""
+    os_ = OperatingSystem(small_numa())
+    os_.create_tenant("hog")
+    os_.create_tenant("t")
+    os_.inventory.seed("hog", hog_cores)
+    controller = ElasticController(
+        os_, make_mode("dense", os_.topology), CpuLoadStrategy(),
+        ControllerConfig(initial_cores=initial_cores), tenant="t")
+    return os_, controller
 
 
-class _View:
-    """A frozen view of own and foreign cores for planner tests."""
-
-    def __init__(self, own=(), foreign=()):
-        self._own = frozenset(own)
-        self._foreign = frozenset(foreign)
-
-    def own(self):
-        return self._own
-
-    def foreign(self):
-        return self._foreign
+def overloaded_pass(os_, controller):
+    """Run one pass with "t" fully busy since the last one, so the
+    model fires its allocate transition.  With no thread alive the
+    controller's own tick has parked by then."""
+    os_.run_until_idle()
+    for core in os_.inventory.mask_of("t"):
+        os_.machine.account_busy(core, 1.0)
+    os_.sim.schedule(1.0, lambda: None)
+    os_.run_until_idle()
+    return controller.run_pipeline_once()
 
 
 def test_planner_allocates_around_foreign_cores():
-    os_ = OperatingSystem(small_numa())
-    planner = ModePlanner(DenseMode(os_.topology),
-                          _View(own={0}, foreign={1, 2}),
-                          os_.topology.n_cores)
-    delta = planner.plan("allocate")
-    assert delta.allocate and delta.allocate[0] not in {0, 1, 2}
+    os_, controller = hogged_controller([1, 2])
+    controller.start()
+    assert os_.inventory.mask_of("t") == {0}
+    chain = overloaded_pass(os_, controller)
+    assert chain.label == "t1-Overload-t5"
+    assert os_.inventory.mask_of("t") == {0, 3}
+    assert os_.inventory.mask_of("hog") == {1, 2}
+    granted = os_.tracer.of(CoreAllocation)[-1]
+    assert (granted.core_id, granted.allocated, granted.n_allocated) == (
+        3, True, 2)
 
 
 def test_planner_reports_no_change_when_starved():
-    os_ = OperatingSystem(small_numa())
-    n = os_.topology.n_cores
-    planner = ModePlanner(DenseMode(os_.topology),
-                          _View(own={0}, foreign=set(range(1, n))), n)
-    assert planner.plan("allocate") is NO_CHANGE
+    os_, controller = hogged_controller([1, 2, 3])
+    controller.start()
+    allocations = len(os_.tracer.of(CoreAllocation))
+    chain = overloaded_pass(os_, controller)
+    # the net fired t5, but every core is held: a starved tick moves
+    # nothing and the model is put back to the leases
+    assert chain.label == "t1-Overload-t5"
+    assert os_.inventory.mask_of("t") == {0}
+    assert controller.model.nalloc == controller.n_allocated == 1
+    assert len(os_.tracer.of(CoreAllocation)) == allocations
 
 
 def test_planner_initial_mask_skips_foreign():
-    os_ = OperatingSystem(small_numa())
-    planner = ModePlanner(DenseMode(os_.topology),
-                          _View(foreign={0, 1}), os_.topology.n_cores)
-    mask = planner.initial_mask(2)
-    assert len(mask) == 2 and not set(mask) & {0, 1}
+    os_, controller = hogged_controller([0, 1], initial_cores=2)
+    controller.start()
+    mask = os_.inventory.mask_of("t")
+    assert len(mask) == 2 and not mask & {0, 1}
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +177,7 @@ def test_planner_initial_mask_skips_foreign():
 
 def test_starved_ticks_keep_the_model_in_sync():
     # "hog" holds every core but one: the loaded tenant's model fires
-    # its allocate transition, but the planner finds no free core
+    # its allocate transition, but the plan step finds no free core
     os_ = OperatingSystem(small_numa())
     n = os_.topology.n_cores
     os_.create_tenant("hog")
@@ -222,16 +233,20 @@ def test_two_controllers_hold_disjoint_leases():
     assert controllers["right"].ticks > 0
 
 
-def test_rejected_allocation_rolls_back_leases_masks_and_trace():
-    # the free core comes before the foreign one: a rejected delta must
-    # leave it unleased, or tenant "a" keeps a core it was never
-    # granted and "b"'s planner sees it as foreign
+def two_seeded_tenants():
+    """Tenants "a" on core 0 and "b" on core 1, seeded as controllers
+    seed them."""
     os_ = OperatingSystem(small_numa())
     for tenant, cores in (("a", [0]), ("b", [1])):
         os_.create_tenant(tenant)
-        LeaseActuator(os_, tenant=tenant).seed(cores)
-    actuator = LeaseActuator(os_, tenant="a")
-    free, foreign = 2, 1
+        os_.inventory.seed(tenant, cores)
+    return os_
+
+
+def test_rejected_allocation_rolls_back_leases_masks_and_trace():
+    # a refused lease must leave every mask, lease and trace record as
+    # it was, or tenant "a" keeps a core it was never granted
+    os_ = two_seeded_tenants()
 
     def state():
         return ({t: os_.inventory.cpuset_of(t).allowed() for t in "ab"},
@@ -239,27 +254,22 @@ def test_rejected_allocation_rolls_back_leases_masks_and_trace():
 
     before = state()
     with pytest.raises(LeaseError, match="already leased"):
-        actuator.apply(CoreDelta(allocate=(free, foreign)))
+        os_.inventory.acquire("a", 1)
     assert state() == before
     os_.inventory.check()
 
 
-@pytest.mark.parametrize("allocate", [(2, 1), (2, 2)])
-def test_rejected_allocation_moves_no_thread(allocate):
+def test_rejected_allocation_moves_no_thread():
     # acquiring a core runs the scheduler's mask listener, which steals
-    # a queued thread onto it at once; a delta that is refused later
-    # must therefore be refused before its first core is leased
-    os_ = OperatingSystem(small_numa())
-    for tenant, cores in (("a", [0]), ("b", [1])):
-        os_.create_tenant(tenant)
-        LeaseActuator(os_, tenant=tenant).seed(cores)
+    # a queued thread onto it at once; a refused lease must therefore be
+    # refused before the core enters the mask
+    os_ = two_seeded_tenants()
     threads = [os_.spawn_thread(scan_source(os_), tenant="a")
                for _ in range(3)]
-    actuator = LeaseActuator(os_, tenant="a")
-    with pytest.raises(LeaseError, match="already leased|twice"):
-        actuator.apply(CoreDelta(allocate=allocate))
+    with pytest.raises(LeaseError, match="already leased"):
+        os_.inventory.acquire("a", 1)
     assert not [m for m in os_.tracer.of(MigrationRecord)
-                if m.dst_core == 2]
+                if m.dst_core == 1]
     assert {t.core for t in threads if t.core is not None} <= {0}
     os_.inventory.check()
 
@@ -283,6 +293,19 @@ def test_duplicate_tenant_registration_raises():
     os_.create_tenant("dup")
     with pytest.raises(LeaseError):
         os_.create_tenant("dup")
+
+
+def test_thread_of_an_unregistered_tenant_is_refused():
+    # without a mask of its own the thread would run under the default
+    # tenant's mask, outside every lease
+    os_ = OperatingSystem(small_numa())
+    os_.create_tenant("a")
+    os_.inventory.seed("a", [2, 3])
+    os_.cpuset.set_mask([0])
+    with pytest.raises(SchedulerError, match="'typo'"):
+        os_.spawn_thread(scan_source(os_), tenant="typo")
+    assert not os_.scheduler.threads
+    assert os_.scheduler.live_threads() == 0
 
 
 def test_duplicate_scheduler_mask_raises():

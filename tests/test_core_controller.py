@@ -11,7 +11,8 @@ from repro.errors import (AllocationError, ModelConfigurationError,
 from repro.hardware.prebuilt import small_numa
 from repro.opsys.system import OperatingSystem
 from repro.opsys.workitem import ListWorkSource, WorkItem
-from repro.sim.tracing import ControllerTick, CoreAllocation
+from repro.sim.tracing import (ControllerTick, CoreAllocation,
+                               TransitionRecord)
 
 
 def make_controller(mode="dense", keepalive=False, **cfg):
@@ -54,6 +55,20 @@ def test_allocates_under_load():
     assert report.max_cores > 1
     allocations = [r for r in os_.tracer.of(CoreAllocation) if r.allocated]
     assert len(allocations) >= report.max_cores
+
+
+def test_lonc_tracker_records_the_states_the_net_reached():
+    os_, controller = make_controller(keepalive=True)
+    controller.start()
+    for _ in range(4):
+        os_.spawn_thread(scan_source(os_))
+    # the workload plus an idle tail
+    os_.run(until=2.0)
+    controller.stop()
+    os_.run_until_idle()
+    states = [state for state, _ in controller.lonc.history]
+    assert states == [r.state for r in os_.tracer.of(TransitionRecord)]
+    assert {"Overload", "Idle"} <= set(states)
 
 
 def test_releases_when_idle():

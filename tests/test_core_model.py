@@ -79,10 +79,8 @@ def test_token_returns_to_checks_every_cycle(model):
 
 def test_cycle_sequence_tracks_staircase():
     model = PerformanceModel(10, 70, n_total=4, initial_cores=1)
-    for _ in range(5):
-        model.run_cycle(99.0)
+    labels = [model.run_cycle(99.0).label for _ in range(5)]
     assert model.nalloc == 4  # capped at n_total
-    labels = [c.label for c in model.chains]
     assert labels[:3] == ["t1-Overload-t5"] * 3
     assert labels[3] == "t1-Overload-t6"
 

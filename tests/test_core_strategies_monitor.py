@@ -116,9 +116,10 @@ class TestLonc:
         assert not lonc_satisfied(70, 10, 70)
 
     def test_tracker_report(self):
-        tracker = LoncTracker(10, 70)
-        for metric, cores in [(5, 4), (50, 4), (50, 5), (90, 5)]:
-            tracker.record(metric, cores)
+        tracker = LoncTracker()
+        for state, cores in [("Idle", 4), ("Stable", 4), ("Stable", 5),
+                             ("Overload", 5)]:
+            tracker.record(state, cores)
         report = tracker.report()
         assert report.ticks == 4
         assert report.stable_ticks == 2
@@ -129,6 +130,6 @@ class TestLonc:
         assert report.mean_cores == pytest.approx(4.5)
 
     def test_empty_tracker(self):
-        report = LoncTracker(10, 70).report()
+        report = LoncTracker().report()
         assert report.ticks == 0
         assert report.stable_fraction == 0.0

@@ -8,7 +8,7 @@ run serialising to the same bytes.  They must also hold under any
 would make the trace depend on the interpreter's hash seed.  No trace
 golden covers two tenants, so a fixture of the two-controller
 extension's outcome (slice samples, per-tenant rows, makespan) pins the
-planner's foreign-aware paths.
+controller's foreign-aware plan step.
 
 Regenerate (only when a trace change is *intended* and reviewed)::
 
@@ -128,7 +128,7 @@ def two_tenant_outcome() -> bytes:
 
 
 def test_two_tenant_outcome_is_golden():
-    # no trace golden covers two tenants, so this pins the planner's
+    # no trace golden covers two tenants, so this pins the controller's
     # foreign-aware seeding and allocation through their outcome
     fixture = GOLDEN_DIR / "two_tenant_outcome.json"
     exported = two_tenant_outcome()

@@ -10,8 +10,9 @@ Three patterns are checked by walking the package's syntax trees:
   when accumulated rounding moves a value off the literal; thresholds
   must be orderings;
 * a core lease taken or returned outside the lease mechanism (the
-  inventory and the ``LeaseActuator``) bypasses tenant arbitration, and
-  an experiment that does it still runs to completion.
+  inventory and the ``ElasticController`` that edits its tenant's
+  leases) bypasses tenant arbitration, and an experiment that does it
+  still runs to completion.
 
 Everything else a determinism rule could flag (host clocks, unseeded
 randomness, hash-ordered iteration, unpicklable callbacks, lease
@@ -34,7 +35,7 @@ PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 STRICT_ZONES = ("core", "sim", "opsys")
 
 #: the modules that are the lease mechanism
-LEASE_HOMES = ("opsys/inventory.py", "control/stages.py")
+LEASE_HOMES = ("opsys/inventory.py", "core/controller.py")
 
 _MUTABLE_CALLS = {"list", "dict", "set", "bytearray"}
 _LEASE_METHODS = {"acquire", "release", "seed"}
