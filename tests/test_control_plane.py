@@ -259,17 +259,22 @@ def test_rejected_allocation_rolls_back_leases_masks_and_trace():
     os_.inventory.check()
 
 
-def test_rejected_allocation_moves_no_thread():
+# a core leased to the other tenant, and a core "a" already holds
+@pytest.mark.parametrize("allocate", [(1, "b"), (0, "a")])
+def test_rejected_allocation_moves_no_thread(allocate):
     # acquiring a core runs the scheduler's mask listener, which steals
     # a queued thread onto it at once; a refused lease must therefore be
     # refused before the core enters the mask
+    core, owner = allocate
     os_ = two_seeded_tenants()
     threads = [os_.spawn_thread(scan_source(os_), tenant="a")
                for _ in range(3)]
-    with pytest.raises(LeaseError, match="already leased"):
-        os_.inventory.acquire("a", 1)
-    assert not [m for m in os_.tracer.of(MigrationRecord)
-                if m.dst_core == 1]
+    migrations = os_.tracer.of(MigrationRecord)
+    with pytest.raises(LeaseError, match=f"already leased to tenant "
+                                         f"'{owner}'"):
+        os_.inventory.acquire("a", core)
+    assert os_.tracer.of(MigrationRecord) == migrations
+    assert os_.inventory.cpuset_of("a").allowed() == {0}
     assert {t.core for t in threads if t.core is not None} <= {0}
     os_.inventory.check()
 
