@@ -32,7 +32,7 @@ def run_one(mode: str | None) -> list:
                        machine=EIGHT_SOCKET)
     sut.mark()
     result = sut.run_clients(12, repeat_stream("sel_45pct", 3))
-    cores = (sut.controller.lonc.report().mean_cores
+    cores = (sut.controller.lonc_report().mean_cores
              if sut.controller else EIGHT_SOCKET.n_cores)
     return [sut.label, result.throughput, sut.ht_imc_ratio(),
             sut.delta("migrations"), cores]

@@ -26,7 +26,7 @@ def run_one(engine: str, mode: str | None, n_clients: int) -> list:
     sut = build_system(engine=engine, mode=mode)
     sut.mark()
     result = sut.run_clients(n_clients, mixed_phases_stream(3))
-    cores = (sut.controller.lonc.report().mean_cores
+    cores = (sut.controller.lonc_report().mean_cores
              if sut.controller else float(sut.os.topology.n_cores))
     return [sut.label, result.throughput, result.mean_latency(),
             sut.ht_imc_ratio(), sut.delta("migrations"), cores]

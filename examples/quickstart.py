@@ -39,7 +39,7 @@ def run_one(mode: str | None) -> dict:
         "stolen tasks": sut.delta("stolen_tasks"),
     }
     if sut.controller is not None:
-        row["mean cores"] = sut.controller.lonc.report().mean_cores
+        row["mean cores"] = sut.controller.lonc_report().mean_cores
     else:
         row["mean cores"] = 16.0
     return row

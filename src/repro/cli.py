@@ -406,7 +406,7 @@ def _run_compare(args: argparse.Namespace) -> str:
         sut.mark()
         workload = sut.run_clients(
             args.clients, repeat_stream(args.workload, args.repetitions))
-        cores = (sut.controller.lonc.report().mean_cores
+        cores = (sut.controller.lonc_report().mean_cores
                  if sut.controller else float(sut.os.topology.n_cores))
         rows.append([sut.label, workload.throughput,
                      workload.mean_latency(), sut.ht_imc_ratio(),

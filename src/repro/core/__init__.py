@@ -16,7 +16,7 @@ Layering (paper §III-IV):
 """
 
 from .controller import ElasticController
-from .lonc import LoncReport, LoncTracker, lonc_satisfied
+from .lonc import LoncReport, lonc_report
 from .model import PerformanceModel, TransitionChain
 from .modes import (AdaptivePriorityMode, AllocationMode, DenseMode,
                     SparseMode, make_mode)
@@ -37,7 +37,7 @@ __all__ = [
     "make_mode",
     "NodePriorityQueue",
     "Monitor", "MonitorSample",
-    "lonc_satisfied", "LoncTracker", "LoncReport",
+    "LoncReport", "lonc_report",
     "ElasticController",
     "SlaGovernor",
     "PredicateAwareSizer",

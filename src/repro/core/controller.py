@@ -24,13 +24,13 @@ Lifecycle is an explicit state machine: ``new -> running -> stopped``.
 from __future__ import annotations
 
 from ..config import ControllerConfig, preflight_defects
-from ..errors import AllocationError, ModelConfigurationError
+from ..errors import AllocationError, ModelConfigurationError, ReproError
 from ..obs.metrics import VALUE_BUCKETS
 from ..obs.provenance import Decision
 from ..opsys.inventory import DEFAULT_TENANT
 from ..opsys.system import OperatingSystem
-from ..sim.tracing import ControllerTick, CoreAllocation, TransitionRecord
-from .lonc import LoncTracker
+from ..sim.tracing import CoreAllocation, TransitionRecord
+from .lonc import LoncReport, lonc_report
 from .model import PerformanceModel, TransitionChain
 from .modes import AdaptivePriorityMode, AllocationMode
 from .monitor import Monitor, MonitorSample
@@ -73,7 +73,6 @@ class ElasticController:
                 n_min=self.config.min_cores,
                 initial_cores=self.config.initial_cores)
         self.keepalive = keepalive
-        self.lonc = LoncTracker()
         self.ticks = 0
         self._lifecycle = "new"
         self._tick_scheduled = False
@@ -179,12 +178,8 @@ class ElasticController:
         self._tick_scheduled = False
         if self._lifecycle != "running":
             return
-        chain = self.run_pipeline_once()
-        self.os.tracer.emit(ControllerTick(
-            time=self.os.now, metric=chain.metric,
-            state=chain.state, n_allocated=self.n_allocated))
-        if (self.keepalive
-                or self.os.scheduler.live_threads(self.monitor.counted) > 0):
+        self.run_pipeline_once()
+        if self.keepalive or self.os.scheduler.live_threads(self.tenant):
             self._schedule_tick()
 
     def run_pipeline_once(self) -> TransitionChain:
@@ -209,7 +204,6 @@ class ElasticController:
                 self._refresh_priority()
             with spans.span("controller.fire"):
                 chain = model.run_cycle(metric)
-            self.lonc.record(chain.state, self.n_allocated)
             cores_before = self.n_allocated
             with spans.span("controller.plan"):
                 core = self._plan(chain.action)
@@ -227,8 +221,23 @@ class ElasticController:
         self.ticks += 1
         self.os.tracer.emit(TransitionRecord(
             time=self.os.now, label=chain.label, state=chain.state,
-            value=metric, cores_after=self.n_allocated))
+            value=metric, cores_after=self.n_allocated,
+            tenant=self.tenant))
         return chain
+
+    def lonc_report(self) -> LoncReport:
+        """The LONC summary of this tenant's passes, derived from its
+        :class:`TransitionRecord` stream in the system's tracer.  Raises
+        :class:`~repro.errors.ReproError` when that trace lost records
+        (muted, or cleared mid-run) rather than summarise part of it."""
+        records = [r for r in self.os.tracer.iter_of(TransitionRecord)
+                   if r.tenant == self.tenant]
+        if len(records) != self.ticks:
+            raise ReproError(
+                f"tenant {self.tenant!r}: the trace holds {len(records)} "
+                f"TransitionRecords for {self.ticks} controller ticks; "
+                f"no LONC report from a muted or cleared trace")
+        return lonc_report(records, self.config.initial_cores)
 
     def _record_decision(self, sample: MonitorSample,
                          chain: TransitionChain,
@@ -308,7 +317,8 @@ class ElasticController:
         self.os.tracer.emit(CoreAllocation(
             time=self.os.now, core_id=core,
             node_id=self.os.topology.node_of_core(core),
-            allocated=allocated, n_allocated=len(self.cpuset)))
+            allocated=allocated, n_allocated=len(self.cpuset),
+            tenant=self.tenant))
 
     def _refresh_priority(self) -> None:
         if isinstance(self.mode, AdaptivePriorityMode):

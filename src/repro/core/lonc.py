@@ -6,19 +6,18 @@
 i.e. a core count keeping the per-core load inside the stable band while
 performing at least as well as exposing all cores.  The controller *seeks*
 the LONC by construction (it allocates on Overload and releases on Idle);
-:class:`LoncTracker` measures how well it succeeds — the fraction of
+:func:`lonc_report` measures how well it succeeds — the fraction of
 monitoring windows spent in each state and the allocated-core trajectory —
-and is used by tests and the Fig 7 harness.
+derived from the tenant's :class:`~repro.sim.tracing.TransitionRecord`
+stream, one record per controller pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
-
-def lonc_satisfied(metric: float, th_min: float, th_max: float) -> bool:
-    """Whether a metric value sits strictly inside the stable band."""
-    return th_min < metric < th_max
+from ..sim.tracing import TransitionRecord
 
 
 @dataclass
@@ -39,34 +38,23 @@ class LoncReport:
         return self.stable_ticks / self.ticks if self.ticks else 0.0
 
 
-@dataclass
-class LoncTracker:
-    """Accumulates per-tick performance states and core counts."""
+def lonc_report(records: Sequence[TransitionRecord],
+                initial_cores: int) -> LoncReport:
+    """Summarise one tenant's passes, in emission order.
 
-    _states: list[str] = field(default_factory=list)
-    _cores: list[int] = field(default_factory=list)
-
-    def record(self, state: str, n_cores: int) -> None:
-        """Register one monitoring tick: the state the PrT net's entry
-        transition reached (``Idle`` / ``Stable`` / ``Overload``)."""
-        self._states.append(state)
-        self._cores.append(n_cores)
-
-    @property
-    def history(self) -> list[tuple[str, int]]:
-        """(state, cores) per tick."""
-        return list(zip(self._states, self._cores))
-
-    def report(self) -> LoncReport:
-        """Summarise the run."""
-        ticks = len(self._states)
-        cores = self._cores or [0]
-        return LoncReport(
-            ticks=ticks,
-            stable_ticks=self._states.count("Stable"),
-            idle_ticks=self._states.count("Idle"),
-            overload_ticks=self._states.count("Overload"),
-            min_cores=min(cores),
-            max_cores=max(cores),
-            mean_cores=sum(cores) / len(cores),
-        )
+    Each pass counts the cores it *started* from: the previous record's
+    ``cores_after``, and ``initial_cores`` for the first pass.  No pass
+    gives ``min_cores = max_cores = 0`` and ``mean_cores = 0``.
+    """
+    states = [r.state for r in records]
+    cores = ([initial_cores, *(r.cores_after for r in records[:-1])]
+             if records else [0])
+    return LoncReport(
+        ticks=len(states),
+        stable_ticks=states.count("Stable"),
+        idle_ticks=states.count("Idle"),
+        overload_ticks=states.count("Overload"),
+        min_cores=min(cores),
+        max_cores=max(cores),
+        mean_cores=sum(cores) / len(cores),
+    )

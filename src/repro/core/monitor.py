@@ -57,7 +57,8 @@ class Monitor:
     the window since the previous one: per-core busy and useful
     percentages (the mpstat view, averaged over ``tenant``'s cpuset)
     and the machine-wide HT, IMC and L3 deltas (likwid reads sockets,
-    not cgroups).  Each monitor keeps its own previous snapshot, so two
+    not cgroups), plus the runnable count of the tenant's managed
+    threads.  Each monitor keeps its own previous snapshot, so two
     concurrent controllers never corrupt each other's windows.
     """
 
@@ -65,10 +66,6 @@ class Monitor:
         self.os = os
         self.tenant = tenant
         self._cpuset = os.inventory.cpuset_of(tenant)
-        #: whose threads count as this tenant's load and liveness: the
-        #: default tenant's monitor counts every thread on the machine,
-        #: a named tenant's only its own
-        self.counted = None if tenant == DEFAULT_TENANT else tenant
         #: the core list never changes for one machine
         self._cores: tuple[int, ...] = tuple(os.topology.all_cores())
         self._previous: CounterSnapshot | None = None
@@ -107,7 +104,7 @@ class Monitor:
             time=now, window=window, load=load,
             ht_bytes=ht, imc_bytes=imc, l3_misses=l3,
             runnable_threads=self.os.scheduler.runnable_threads(
-                self.counted),
+                self.tenant),
             n_allocated=len(self._cpuset))
 
 

@@ -64,7 +64,7 @@ def _measure(sut, n_clients: int, reps: int) -> AblationCell:
     result = sut.run_clients(n_clients, repeat_stream(WORKLOAD, reps))
     makespan = max(result.makespan, 1e-9)
     if sut.controller is not None:
-        report = sut.controller.lonc.report()
+        report = sut.controller.lonc_report()
         mean_cores = report.mean_cores
         stable = report.stable_fraction
     else:

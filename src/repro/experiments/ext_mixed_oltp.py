@@ -102,7 +102,7 @@ def run(modes: tuple = (None, "adaptive"), olap_clients: int = 16,
         sut.os.run_until_idle()
         olap_result.finished_at = oltp_result.finished_at = sut.os.now
 
-        mean_cores = (sut.controller.lonc.report().mean_cores
+        mean_cores = (sut.controller.lonc_report().mean_cores
                       if sut.controller else
                       float(sut.os.topology.n_cores))
         result.cells[mode or "OS"] = MixedCell(

@@ -74,7 +74,7 @@ def run(n_clients: int = 32, queries_per_client: int = 3,
                            sim_scale=sim_scale)
         sut.mark()
         workload = sut.run_clients(n_clients, stream)
-        mean_cores = (sut.controller.lonc.report().mean_cores
+        mean_cores = (sut.controller.lonc_report().mean_cores
                       if sut.controller else
                       float(sut.os.topology.n_cores))
         result.cells[sut.label] = MorselCell(

@@ -83,7 +83,7 @@ def run(budget_fraction: float = 0.5, n_clients: int = 16,
     throughput, ht_rate = _measure(ungoverned, n_clients, reps, workload)
     result.cells["adaptive"] = SlaCell(
         throughput, ht_rate,
-        ungoverned.controller.lonc.report().mean_cores, 0)
+        ungoverned.controller.lonc_report().mean_cores, 0)
 
     # build without a controller, then attach the SLA-governed one
     governed = build_system(engine="monetdb", mode=None, scale=scale,
@@ -99,6 +99,6 @@ def run(budget_fraction: float = 0.5, n_clients: int = 16,
     governed.controller = controller
     throughput, ht_rate = _measure(governed, n_clients, reps, workload)
     result.cells["adaptive+sla"] = SlaCell(
-        throughput, ht_rate, controller.lonc.report().mean_cores,
+        throughput, ht_rate, controller.lonc_report().mean_cores,
         governor.violations)
     return result

@@ -88,6 +88,6 @@ def run(repetitions: int = 10, scale: float = 0.01,
         for r in sut.os.tracer.of(TransitionRecord)
     ]
     return Fig07Result(transitions=transitions,
-                       lonc=sut.controller.lonc.report(),
+                       lonc=sut.controller.lonc_report(),
                        elapsed=result.makespan,
                        records=sut.os.tracer.all())

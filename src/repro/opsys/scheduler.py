@@ -19,6 +19,7 @@ core when it is allowed and are never stolen by the balancer.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 from ..config import SchedulerConfig
 from ..errors import SchedulerError
@@ -162,12 +163,13 @@ class Scheduler:
     def live_threads(self, tenant: str | None = None) -> int:
         """Threads admitted and not yet exited (incl. blocked).
 
-        With ``tenant`` given, only that tenant's threads are counted.
+        With ``tenant`` given, only its managed threads are counted.
         """
         if tenant is None:
             return self._live_threads
         # commutative integer reduction: order cannot reach the result
-        return sum(1 for t in self.threads if t.tenant == tenant)
+        return sum(1 for t in self.threads
+                   if t.tenant == tenant and t.managed)
 
     def core_load(self, core: int) -> int:
         """Queue length of ``core`` including the running thread.  O(1)."""
@@ -176,14 +178,12 @@ class Scheduler:
     def runnable_threads(self, tenant: str | None = None) -> int:
         """Ready or running threads across all cores.
 
-        With ``tenant`` given, only that tenant's threads are counted.
+        With ``tenant`` given, only its managed threads are counted.
         """
         if tenant is None:
             return sum(self._load)
-        return (sum(1 for q in self._queues
-                    for t in q if t.tenant == tenant)
-                + sum(1 for t in self._running
-                      if t is not None and t.tenant == tenant))
+        return sum(1 for t in chain(*self._queues, self._running)
+                   if t is not None and t.tenant == tenant and t.managed)
 
     # ------------------------------------------------------------------
     # tenant masks

@@ -11,7 +11,6 @@ from .export import dump_records, dump_tracer, load_records
 from .process import ProcessHandle, every, spawn_process
 from .state import SimState
 from .tracing import (
-    ControllerTick,
     CoreAllocation,
     MigrationRecord,
     PlacementRecord,
@@ -37,7 +36,6 @@ __all__ = [
     "MigrationRecord",
     "TransitionRecord",
     "CoreAllocation",
-    "ControllerTick",
     "QueryRecord",
     "StageRecord",
 ]

@@ -57,54 +57,40 @@ class MigrationRecord:
 
 @dataclass(frozen=True, slots=True)
 class TransitionRecord:
-    """A PrT transition (or chain) fired, e.g. ``t1-Overload-t5``."""
+    """One controller pass: the PrT chain it fired (``t1-Overload-t5``),
+    the metric ``value`` and the governed ``tenant``'s cores after it."""
 
     time: float
     label: str
     state: str
     value: float
     cores_after: int
+    tenant: str
 
     def __reduce__(self):
         # snapshots pickle traces wholesale; rebuilding via the
         # positional __init__ skips the generic dataclass state
         # machinery (fields() + per-field setattr lists)
-        return (TransitionRecord, (self.time, self.label, self.state, self.value, self.cores_after))
+        return (TransitionRecord, (self.time, self.label, self.state, self.value, self.cores_after, self.tenant))
 
 
 
 @dataclass(frozen=True, slots=True)
 class CoreAllocation:
-    """The cpuset mask changed; ``core_id`` was added or removed."""
+    """``tenant``'s cpuset changed; ``core_id`` was added or removed."""
 
     time: float
     core_id: int
     node_id: int
     allocated: bool
     n_allocated: int
+    tenant: str
 
     def __reduce__(self):
         # snapshots pickle traces wholesale; rebuilding via the
         # positional __init__ skips the generic dataclass state
         # machinery (fields() + per-field setattr lists)
-        return (CoreAllocation, (self.time, self.core_id, self.node_id, self.allocated, self.n_allocated))
-
-
-
-@dataclass(frozen=True, slots=True)
-class ControllerTick:
-    """One pass of the rule-condition-action pipeline."""
-
-    time: float
-    metric: float
-    state: str
-    n_allocated: int
-
-    def __reduce__(self):
-        # snapshots pickle traces wholesale; rebuilding via the
-        # positional __init__ skips the generic dataclass state
-        # machinery (fields() + per-field setattr lists)
-        return (ControllerTick, (self.time, self.metric, self.state, self.n_allocated))
+        return (CoreAllocation, (self.time, self.core_id, self.node_id, self.allocated, self.n_allocated, self.tenant))
 
 
 

@@ -12,6 +12,7 @@ import pytest
 from repro.config import ControllerConfig
 from repro.core.controller import ElasticController
 from repro.core.modes import make_mode
+from repro.core.monitor import Monitor
 from repro.core.strategies import CpuLoadStrategy
 from repro.errors import (AllocationError, LeaseError,
                           ModelConfigurationError, SchedulerError)
@@ -332,3 +333,29 @@ def test_second_controller_seeds_off_the_first():
     second = os_.inventory.mask_of("second")
     assert len(first) == 1 and len(second) == 1
     assert not first & second
+
+
+def test_default_tenant_counts_only_its_own_managed_threads():
+    # the default tenant holds {0,1}, tenant x holds {2,3}; only x's
+    # threads and one unmanaged thread run, so "db" has no load of its
+    # own: no queue pressure, and its controller parks after one pass
+    os_ = OperatingSystem(small_numa())
+    os_.create_tenant("x")
+    os_.inventory.seed("x", [2, 3])
+    controller = ElasticController(
+        os_, make_mode("dense", os_.topology), CpuLoadStrategy(),
+        ControllerConfig(initial_cores=2))
+    controller.start()
+    assert os_.inventory.mask_of("db") == {0, 1}
+    monitor = Monitor(os_)
+    monitor.prime()
+    for _ in range(3):
+        os_.spawn_thread(scan_source(os_, cycles=2e9), tenant="x")
+    os_.spawn_thread(scan_source(os_, cycles=2e9), managed=False)
+    os_.run(until=0.2)
+    sample = monitor.sample()
+    assert sample.runnable_threads == 0
+    assert not sample.queue_pressure
+    assert os_.scheduler.live_threads() == 4
+    assert os_.scheduler.live_threads("db") == 0
+    assert controller.ticks == 1

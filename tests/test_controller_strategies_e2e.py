@@ -23,7 +23,7 @@ class TestStrategiesEndToEnd:
         sut = build_system(mode="adaptive", strategy="ht_imc",
                            scale=SCALE, sim_scale=SIM)
         sut.run_clients(4, repeat_stream("sel_45pct", 2))
-        report = sut.controller.lonc.report()
+        report = sut.controller.lonc_report()
         assert report.max_cores > 1
 
     def test_ht_imc_metric_values_are_ratios(self):
@@ -40,7 +40,7 @@ class TestStrategiesEndToEnd:
             sut = build_system(mode="adaptive", strategy=strategy,
                                scale=SCALE, sim_scale=SIM)
             sut.run_clients(8, repeat_stream("sel_45pct", 3))
-            cores[strategy] = sut.controller.lonc.report().mean_cores
+            cores[strategy] = sut.controller.lonc_report().mean_cores
         assert cores["useful_load"] <= cores["cpu_load"] + 0.5
 
     def test_sla_governed_controller_end_to_end(self):
@@ -53,7 +53,7 @@ class TestStrategiesEndToEnd:
         sut.run_clients(8, repeat_stream("sel_45pct", 2))
         # the tiny budget forces violations and keeps the mask small
         assert governor.violations > 0
-        assert controller.lonc.report().mean_cores < 8
+        assert controller.lonc_report().mean_cores < 8
 
 
 class TestSchedulerCostCharging:

@@ -11,8 +11,7 @@ from repro.errors import (AllocationError, ModelConfigurationError,
 from repro.hardware.prebuilt import small_numa
 from repro.opsys.system import OperatingSystem
 from repro.opsys.workitem import ListWorkSource, WorkItem
-from repro.sim.tracing import (ControllerTick, CoreAllocation,
-                               TransitionRecord)
+from repro.sim.tracing import CoreAllocation, TransitionRecord
 
 
 def make_controller(mode="dense", keepalive=False, **cfg):
@@ -50,25 +49,55 @@ def test_allocates_under_load():
     for _ in range(4):
         os_.spawn_thread(scan_source(os_))
     os_.run_until_idle()
-    report = controller.lonc.report()
+    report = controller.lonc_report()
     assert report.ticks > 0
     assert report.max_cores > 1
     allocations = [r for r in os_.tracer.of(CoreAllocation) if r.allocated]
     assert len(allocations) >= report.max_cores
 
 
-def test_lonc_tracker_records_the_states_the_net_reached():
-    os_, controller = make_controller(keepalive=True)
+def run_scan_with_idle_tail(os_, controller, until=2.0):
+    """Four scans plus an idle tail under a keepalive controller."""
     controller.start()
     for _ in range(4):
         os_.spawn_thread(scan_source(os_))
-    # the workload plus an idle tail
-    os_.run(until=2.0)
+    os_.run(until=until)
     controller.stop()
     os_.run_until_idle()
-    states = [state for state, _ in controller.lonc.history]
-    assert states == [r.state for r in os_.tracer.of(TransitionRecord)]
-    assert {"Overload", "Idle"} <= set(states)
+
+
+def test_lonc_report_of_a_fixed_scenario():
+    os_, controller = make_controller(keepalive=True)
+    run_scan_with_idle_tail(os_, controller)
+    # recorded from the per-pass tracker the report used to keep: each
+    # pass counts the cores it started from
+    report = controller.lonc_report()
+    assert (report.ticks, report.idle_ticks, report.stable_ticks,
+            report.overload_ticks) == (99, 84, 1, 14)
+    assert (report.min_cores, report.max_cores) == (1, 4)
+    assert report.mean_cores == 144 / 99
+
+
+def test_lonc_report_refuses_a_trace_that_lost_records():
+    os_, controller = make_controller(keepalive=True)
+    os_.tracer.mute(TransitionRecord)
+    run_scan_with_idle_tail(os_, controller, until=0.5)
+    with pytest.raises(ReproError, match=r"'db'.* 0 TransitionRecords "
+                                         r"for \d+ controller ticks"):
+        controller.lonc_report()
+
+    os_, controller = make_controller(keepalive=True)
+    controller.start()
+    os_.spawn_thread(scan_source(os_))
+    os_.run(until=0.2)
+    os_.tracer.clear()
+    os_.run(until=0.4)
+    controller.stop()
+    kept = len(os_.tracer.of(TransitionRecord))
+    assert 0 < kept < controller.ticks
+    with pytest.raises(ReproError, match=f" {kept} TransitionRecords "
+                                         f"for {controller.ticks} "):
+        controller.lonc_report()
 
 
 def test_releases_when_idle():
@@ -126,9 +155,10 @@ def test_ticks_emit_trace_records():
     controller.start()
     os_.spawn_thread(scan_source(os_))
     os_.run_until_idle()
-    ticks = os_.tracer.of(ControllerTick)
-    assert len(ticks) == controller.ticks
-    assert all(t.n_allocated >= 1 for t in ticks)
+    passes = os_.tracer.of(TransitionRecord)
+    assert len(passes) == controller.ticks
+    assert all(r.cores_after >= 1 and r.tenant == "db" for r in passes)
+    assert all(r.tenant == "db" for r in os_.tracer.of(CoreAllocation))
 
 
 def test_adaptive_controller_allocates_near_data():

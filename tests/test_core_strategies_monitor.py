@@ -1,8 +1,8 @@
-"""Transition strategies, the monitor and the LONC tracker."""
+"""Transition strategies, the monitor and the LONC report."""
 
 import pytest
 
-from repro.core.lonc import LoncTracker, lonc_satisfied
+from repro.core.lonc import lonc_report
 from repro.core.monitor import Monitor, MonitorSample
 from repro.core.strategies import (CpuLoadStrategy, HtImcStrategy,
                                    UsefulLoadStrategy, make_strategy)
@@ -11,6 +11,7 @@ from repro.hardware.prebuilt import small_numa
 from repro.opsys.loadstats import LoadSample
 from repro.opsys.system import OperatingSystem
 from repro.opsys.workitem import ListWorkSource, WorkItem
+from repro.sim.tracing import TransitionRecord
 
 
 def make_sample(busy=50.0, useful=40.0, ht=0.0, imc=0.0, runnable=0,
@@ -110,17 +111,16 @@ class TestMonitor:
 
 
 class TestLonc:
-    def test_lonc_satisfied_band(self):
-        assert lonc_satisfied(40, 10, 70)
-        assert not lonc_satisfied(10, 10, 70)
-        assert not lonc_satisfied(70, 10, 70)
-
-    def test_tracker_report(self):
-        tracker = LoncTracker()
-        for state, cores in [("Idle", 4), ("Stable", 4), ("Stable", 5),
-                             ("Overload", 5)]:
-            tracker.record(state, cores)
-        report = tracker.report()
+    def test_report_from_records(self):
+        # each pass counts the cores it started from: 4 (initial), then
+        # the previous pass's cores_after; the last cores_after is unused
+        records = [TransitionRecord(time=0.02 * i, label=f"x-{state}-y",
+                                    state=state, value=0.0,
+                                    cores_after=after, tenant="db")
+                   for i, (state, after) in enumerate(
+                       [("Idle", 4), ("Stable", 5), ("Stable", 5),
+                        ("Overload", 9)])]
+        report = lonc_report(records, initial_cores=4)
         assert report.ticks == 4
         assert report.stable_ticks == 2
         assert report.idle_ticks == 1
@@ -129,7 +129,9 @@ class TestLonc:
         assert (report.min_cores, report.max_cores) == (4, 5)
         assert report.mean_cores == pytest.approx(4.5)
 
-    def test_empty_tracker(self):
-        report = LoncTracker().report()
+    def test_empty_report(self):
+        report = lonc_report([], initial_cores=4)
         assert report.ticks == 0
+        assert (report.min_cores, report.max_cores) == (0, 0)
+        assert report.mean_cores == 0
         assert report.stable_fraction == 0.0

@@ -1,7 +1,9 @@
 """Extension: two concurrent controllers on one simulated machine."""
 
+from repro.core import ElasticController
 from repro.experiments import ext_multi_tenant
 from repro.obs import Recorder, install, uninstall
+from repro.sim.tracing import CoreAllocation, TransitionRecord
 
 
 def run_small():
@@ -41,3 +43,34 @@ def test_provenance_is_attributable_per_tenant():
     assert "controller.volcano.ticks" in names
     assert "controller.numa.ticks" in names
     assert "cpuset.volcano.allowed_cores" in names
+
+
+def test_trace_records_are_attributable_per_tenant(monkeypatch):
+    controllers = []
+
+    class Captured(ElasticController):
+        def start(self):
+            controllers.append(self)
+            super().start()
+
+    monkeypatch.setattr(ext_multi_tenant, "ElasticController", Captured)
+    run_small()
+    assert {c.tenant for c in controllers} == {"volcano", "numa"}
+    os_ = controllers[0].os
+    for controller in controllers:
+        tenant = controller.tenant
+        passes = [r for r in os_.tracer.of(TransitionRecord)
+                  if r.tenant == tenant]
+        assert len(passes) == controller.ticks > 0
+        assert controller.lonc_report().ticks == controller.ticks
+        # replaying the tenant's mask edits rebuilds its final leases
+        held: set[int] = set()
+        for record in os_.tracer.of(CoreAllocation):
+            if record.tenant != tenant:
+                continue
+            if record.allocated:
+                held.add(record.core_id)
+            else:
+                held.remove(record.core_id)
+            assert record.n_allocated == len(held)
+        assert held == os_.inventory.mask_of(tenant)

@@ -60,7 +60,7 @@ class TestControlledRuns:
     def test_controller_allocates_under_load(self):
         sut = build(mode="adaptive")
         sut.run_clients(4, repeat_stream("q1", 2))
-        report = sut.controller.lonc.report()
+        report = sut.controller.lonc_report()
         assert report.max_cores > report.min_cores
         allocations = sut.os.tracer.of(CoreAllocation)
         assert any(r.allocated for r in allocations)

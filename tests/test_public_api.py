@@ -42,7 +42,7 @@ def test_quickstart_snippet_from_the_readme():
     result = sut.run_clients(4, repeat_stream("q6", 2))
     assert result.throughput > 0
     assert sut.label == "monetdb/adaptive"
-    assert sut.controller.lonc.report().mean_cores >= 1
+    assert sut.controller.lonc_report().mean_cores >= 1
 
 
 def test_validator_importable_from_top_level_module():

@@ -151,7 +151,7 @@ class TestExport:
                     and dataclasses.is_dataclass(cls)
                     and cls.__module__ == tracing.__name__}
         assert declared == set(RECORD_TYPES)
-        assert len(RECORD_TYPES) >= 7
+        assert len(RECORD_TYPES) >= 6
 
     def test_new_record_type_is_picked_up_by_introspection(self):
         import dataclasses
