@@ -241,9 +241,6 @@ class EngineConfig:
         table pages (MonetDB concentrates data on one node; the paper's
         Fig 18(a) shows socket S0).  ``None`` selects round-robin placement
         across nodes, which is what the NUMA-aware engine uses.
-    numa_aware:
-        When ``True`` workers are pinned to the node owning their data
-        partition (the SQL Server model) instead of being placed by the OS.
     managed_threads:
         When ``True`` (databases) workers live in the DB cgroup and obey
         the elastic mechanism's cpuset.  ``False`` models a co-located
@@ -254,7 +251,6 @@ class EngineConfig:
 
     workers_follow_mask: bool = True
     loader_node: int | None = 0
-    numa_aware: bool = False
     managed_threads: bool = True
     #: upper bound on workers per query (None = per-core); point-query
     #: applications set 1

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from ..config import ControllerConfig, preflight_defects
 from ..errors import AllocationError, ModelConfigurationError, ReproError
-from ..obs.metrics import VALUE_BUCKETS
 from ..obs.provenance import Decision
 from ..opsys.inventory import DEFAULT_TENANT
 from ..opsys.system import OperatingSystem
@@ -79,23 +78,7 @@ class ElasticController:
         self.inventory = os.inventory
         self.cpuset = os.inventory.cpuset_of(tenant)
         self.monitor = Monitor(os, tenant)
-        # telemetry: instruments bound once; all no-ops when the
-        # system's recorder is the null one.  The default tenant keeps
-        # the legacy names; other tenants get their own namespace.
         self.obs = os.obs
-        metrics = self.obs.metrics
-        infix = "" if tenant == DEFAULT_TENANT else f"{tenant}."
-        self._c_ticks = metrics.counter(f"controller.{infix}ticks")
-        self._c_allocations = metrics.counter(
-            f"controller.{infix}allocations")
-        self._c_releases = metrics.counter(f"controller.{infix}releases")
-        self._g_cores = metrics.gauge(
-            f"controller.{infix}cores_allocated")
-        self._h_metric = metrics.histogram(f"controller.{infix}metric",
-                                           VALUE_BUCKETS)
-        self._c_fired = {
-            name: metrics.counter(f"petrinet.{infix}fired.{name}")
-            for name in ("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7")}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -141,7 +124,6 @@ class ElasticController:
         self.inventory.seed(self.tenant, initial)
         for core in initial:
             self._trace(core, allocated=True)
-        self._g_cores.set(self.n_allocated)
         self.monitor.prime()
         self._schedule_tick()
 
@@ -189,7 +171,8 @@ class ElasticController:
         host-clock spans (``controller.sample`` -> ``evaluate`` ->
         ``fire`` -> ``plan`` -> ``apply``) and each pass leaves a
         :class:`~repro.obs.provenance.Decision` in the recorder — the
-        record ``repro explain`` renders.
+        record ``repro explain`` renders, and the one the
+        ``controller.*``/``petrinet.*`` metrics are counted from.
         """
         model = self.model
         if model is None:
@@ -211,11 +194,6 @@ class ElasticController:
                 if core is not None:
                     self._apply(chain.action == "allocate", core)
                 self._sync_model()
-        self._c_ticks.inc()
-        self._h_metric.observe(metric)
-        self._g_cores.set(self.n_allocated)
-        self._c_fired[chain.entry].inc()
-        self._c_fired[chain.exit].inc()
         if self.obs.enabled:
             self._record_decision(sample, chain, core, cores_before)
         self.ticks += 1
@@ -245,7 +223,8 @@ class ElasticController:
         """Capture the full causal chain of one pass.
 
         Runs only when the recorder is enabled; the :class:`Decision`
-        lands in the provenance log behind ``decisions.jsonl``.
+        lands in the provenance log behind ``decisions.jsonl``, which
+        counts it into this tenant's metrics.
         """
         priorities = None
         if isinstance(self.mode, AdaptivePriorityMode):
@@ -304,13 +283,11 @@ class ElasticController:
         """Lease or return ``core``; a refused lease changes nothing."""
         if allocate:
             self.inventory.acquire(self.tenant, core)
-            self._c_allocations.inc()
         else:
             # the model's release guard keeps the tenant above its
             # min_cores, which start() refuses below the inventory's
             # floor, so the inventory never refuses this
             self.inventory.release(self.tenant, core)
-            self._c_releases.inc()
         self._trace(core, allocated=allocate)
 
     def _trace(self, core: int, allocated: bool) -> None:

@@ -1,8 +1,10 @@
 """The monitoring half of the rule-condition-action pipeline.
 
 Plays the role of the paper's mpstat/likwid loop: every controller tick it
-produces a :class:`MonitorSample` with the window's CPU-load picture and the
-counter deltas the strategies need (HT bytes, IMC bytes, L3 misses).
+produces a :class:`MonitorSample` with each core's *busy* (wall-clock,
+stalls included; the paper's ``u`` averages it, §IV-A) and *useful*
+(retired compute only) percentages, and the counter deltas the strategies
+need (HT bytes, IMC bytes).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 
 from ..hardware.counters import CounterSnapshot
 from ..opsys.inventory import DEFAULT_TENANT
-from ..opsys.loadstats import LoadSample
 from ..opsys.system import OperatingSystem
 
 
@@ -21,22 +22,34 @@ class MonitorSample:
 
     time: float
     window: float
-    load: LoadSample
+    per_core_busy: dict[int, float]
+    per_core_useful: dict[int, float]
+    #: the tenant's cpuset when the window closed
+    allocated_cores: tuple[int, ...]
     ht_bytes: float
     imc_bytes: float
-    l3_misses: float
     runnable_threads: int = 0
-    n_allocated: int = 0
 
     @property
     def queue_pressure(self) -> bool:
         """More runnable threads than allocated cores (demand queued)."""
-        return self.runnable_threads > self.n_allocated
+        return self.runnable_threads > len(self.allocated_cores)
 
     @property
     def cpu_load(self) -> float:
         """Average load of the allocated cores (the paper's ``u``), %."""
-        return self.load.average_allocated
+        return self._mean_allocated(self.per_core_busy)
+
+    @property
+    def useful_load(self) -> float:
+        """Average retired-work share of the allocated cores, %."""
+        return self._mean_allocated(self.per_core_useful)
+
+    def _mean_allocated(self, values: dict[int, float]) -> float:
+        cores = self.allocated_cores
+        if not cores:
+            return 0.0
+        return sum(values.get(c, 0.0) for c in cores) / len(cores)
 
     @property
     def ht_imc_ratio(self) -> float:
@@ -56,7 +69,7 @@ class Monitor:
     Each pass takes one snapshot of the hardware counter bank and reads
     the window since the previous one: per-core busy and useful
     percentages (the mpstat view, averaged over ``tenant``'s cpuset)
-    and the machine-wide HT, IMC and L3 deltas (likwid reads sockets,
+    and the machine-wide HT and IMC deltas (likwid reads sockets,
     not cgroups), plus the runnable count of the tenant's managed
     threads.  Each monitor keeps its own previous snapshot, so two
     concurrent controllers never corrupt each other's windows.
@@ -91,21 +104,17 @@ class Monitor:
             useful = _percent(current, previous, "useful_time", cores,
                               window)
         if previous is None:
-            ht = imc = l3 = 0.0
+            ht = imc = 0.0
         else:
             ht = current.delta_total(previous, "ht_tx_bytes")
             imc = current.delta_total(previous, "imc_bytes")
-            l3 = current.delta_total(previous, "l3_miss")
-        load = LoadSample(
+        return MonitorSample(
             time=now, window=window, per_core_busy=busy,
             per_core_useful=useful,
-            allocated_cores=self._cpuset.allowed_tuple())
-        return MonitorSample(
-            time=now, window=window, load=load,
-            ht_bytes=ht, imc_bytes=imc, l3_misses=l3,
+            allocated_cores=self._cpuset.allowed_tuple(),
+            ht_bytes=ht, imc_bytes=imc,
             runnable_threads=self.os.scheduler.runnable_threads(
-                self.tenant),
-            n_allocated=len(self._cpuset))
+                self.tenant))
 
 
 def _percent(current: CounterSnapshot, previous: CounterSnapshot,

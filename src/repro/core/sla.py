@@ -72,7 +72,7 @@ class SlaGovernor(TransitionStrategy):
         if sample.window <= 0:
             busy_fraction = 0.0
         else:
-            busy = sum(sample.load.per_core_busy.values())
+            busy = sum(sample.per_core_busy.values())
             busy_fraction = busy / 100.0 / max(config.n_cores, 1)
         cpu_watts = config.n_sockets * (idle + dynamic * busy_fraction)
         ht_watts = (self.traffic_rate(sample) * 8.0

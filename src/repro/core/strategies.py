@@ -69,7 +69,7 @@ class UsefulLoadStrategy(TransitionStrategy):
         self.th_max = th_max
 
     def metric(self, sample: MonitorSample) -> float:
-        return sample.load.average_useful_allocated
+        return sample.useful_load
 
 
 class HtImcStrategy(TransitionStrategy):

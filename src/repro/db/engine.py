@@ -57,7 +57,7 @@ class DatabaseEngine:
 
     def load(self) -> None:
         """Place the base data according to the engine's policy."""
-        if self.config.numa_aware or self.config.loader_node is None:
+        if self.config.loader_node is None:
             self.catalog.load(self.os.vm, policy="chunked")
         else:
             self.catalog.load(self.os.vm, policy="single_node",
@@ -156,7 +156,4 @@ class MonetDBLike(DatabaseEngine):
                  cost: CostModel | None = None,
                  tenant: str = DEFAULT_TENANT):
         super().__init__(os, catalog, byte_scale,
-                         config or EngineConfig(workers_follow_mask=True,
-                                                loader_node=0,
-                                                numa_aware=False),
-                         cost, name="monetdb", tenant=tenant)
+                         config, cost, name="monetdb", tenant=tenant)

@@ -90,9 +90,7 @@ class MorselEngine(DatabaseEngine):
                  morsel_bytes: int = MORSEL_BYTES,
                  tenant: str = DEFAULT_TENANT):
         super().__init__(os, catalog, byte_scale,
-                         config or EngineConfig(workers_follow_mask=True,
-                                                loader_node=None,
-                                                numa_aware=True),
+                         config or EngineConfig(loader_node=None),
                          cost, name="morsel", tenant=tenant)
         self.morsel_bytes = morsel_bytes
 

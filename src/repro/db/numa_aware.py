@@ -31,9 +31,7 @@ class NumaAwareEngine(DatabaseEngine):
                  cost: CostModel | None = None,
                  tenant: str = DEFAULT_TENANT):
         super().__init__(os, catalog, byte_scale,
-                         config or EngineConfig(workers_follow_mask=True,
-                                                loader_node=None,
-                                                numa_aware=True),
+                         config or EngineConfig(loader_node=None),
                          cost, name="sqlserver", tenant=tenant)
         self._node_rotor = 0
 

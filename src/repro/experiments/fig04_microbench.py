@@ -43,10 +43,6 @@ class Fig04Result:
         """Queries per second for one cell."""
         return self.series[variant][users][0]
 
-    def faults_per_s(self, variant: str, users: int) -> float:
-        """Minor page faults per second for one cell."""
-        return self.series[variant][users][1]
-
     def ht_mb_per_s(self, variant: str, users: int) -> float:
         """Interconnect MB/s for one cell."""
         return self.series[variant][users][2]

@@ -8,8 +8,9 @@ exporters can render it without knowing who emitted what.
 Two design rules keep the hot paths cheap:
 
 * instruments are **bound once** — components look their counter up at
-  construction time and then call ``inc()`` directly, so steady-state
-  recording is one method call with no dict access;
+  construction time (the decision log on a tenant's first decision) and
+  then call ``inc()`` directly, so steady-state recording is one method
+  call with no dict access;
 * the **null registry** hands out shared no-op singletons, so code
   instrumented against a disabled recorder pays only the call itself
   (asserted by ``benchmarks/test_obs_overhead.py``).
@@ -34,6 +35,14 @@ TIME_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0)
 VALUE_BUCKETS = (0.1, 0.25, 0.5, 1.0, 10.0, 25.0, 50.0, 70.0, 90.0, 100.0)
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
+
+
+def tenant_namespace(family: str, tenant: str) -> str:
+    """``tenant``'s prefix in a per-tenant ``family``: ``controller``
+    for the default tenant, ``controller.volcano`` for another one."""
+    from ..opsys.inventory import DEFAULT_TENANT
+
+    return family if tenant == DEFAULT_TENANT else f"{family}.{tenant}"
 
 
 def check_name(name: str) -> str:

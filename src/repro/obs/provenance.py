@@ -26,6 +26,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
+from .metrics import VALUE_BUCKETS, MetricsRegistry, tenant_namespace
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,16 +74,46 @@ class Decision:
 
 
 class DecisionLog:
-    """Append-only store of :class:`Decision` records."""
+    """Append-only store of :class:`Decision` records; the only writer
+    of the ``controller.*``/``petrinet.*`` instruments in ``metrics``."""
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self._metrics = metrics
         self._decisions: list[Decision] = []
+        self._bound: dict[str, tuple] = {}
 
     def record(self, decision: Decision) -> None:
-        """Append one decision."""
+        """Append one decision; count it into its tenant's instruments."""
         self._decisions.append(decision)
+        bound = self._bound.get(decision.tenant)
+        if bound is None:
+            bound = self._bound[decision.tenant] = self._bind(
+                decision.tenant)
+        ticks, moved, cores, metric, fired = bound
+        ticks.inc()
+        if decision.core is not None:  # a starved t5 moves no core
+            moved[decision.action].inc()
+        cores.set(decision.cores_after)
+        metric.observe(decision.metric)
+        fired[decision.entry].inc()
+        fired[decision.exit].inc()
+
+    def _bind(self, tenant: str) -> tuple:
+        """All 13 of ``tenant``'s instruments at once, so the ones that
+        stay zero (a transition that never fired) still export."""
+        metrics = self._metrics
+        controller = tenant_namespace("controller", tenant)
+        petrinet = tenant_namespace("petrinet", tenant)
+        moved = {"allocate": metrics.counter(f"{controller}.allocations"),
+                 "release": metrics.counter(f"{controller}.releases")}
+        fired = {f"t{i}": metrics.counter(f"{petrinet}.fired.t{i}")
+                 for i in range(8)}
+        return (metrics.counter(f"{controller}.ticks"), moved,
+                metrics.gauge(f"{controller}.cores_allocated"),
+                metrics.histogram(f"{controller}.metric", VALUE_BUCKETS),
+                fired)
 
     def __len__(self) -> int:
         return len(self._decisions)
@@ -92,7 +123,7 @@ class DecisionLog:
         return list(self._decisions)
 
     def clear(self) -> None:
-        """Drop all decisions."""
+        """Drop all decisions (the metrics they wrote stay)."""
         self._decisions.clear()
 
 

@@ -40,7 +40,7 @@ class Recorder:
         self.metrics = MetricsRegistry()
         self.spans = SpanTracer(
             clock=clock if clock is not None else time.perf_counter)
-        self.decisions = DecisionLog()
+        self.decisions = DecisionLog(self.metrics)
 
     def clear(self) -> None:
         """Drop spans and decisions (metrics are cumulative and stay)."""

@@ -6,13 +6,11 @@ This package stands in for the Linux kernel facilities the paper relies on:
   balancing and task stealing (whose NUMA-obliviousness motivates the paper);
 * the **node-local first-touch** memory policy and minor-fault accounting;
 * **cpuset masks** (the cgroups role) through which the elastic mechanism
-  hands cores to the OS;
-* **mpstat-style load sampling** over the hardware counter bank.
+  hands cores to the OS.
 """
 
 from .cpuset import CpuSet
 from .inventory import DEFAULT_TENANT, CoreInventory, CoreLease
-from .loadstats import LoadSample
 from .scheduler import Scheduler
 from .system import OperatingSystem
 from .thread import SimThread, ThreadState, WorkSource
@@ -31,6 +29,5 @@ __all__ = [
     "DEFAULT_TENANT",
     "VirtualMemory",
     "Scheduler",
-    "LoadSample",
     "OperatingSystem",
 ]

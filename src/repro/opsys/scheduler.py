@@ -18,7 +18,7 @@ core when it is allowed and are never stolen by the balancer.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import chain
 
 from ..config import SchedulerConfig
@@ -96,7 +96,9 @@ class Scheduler:
         self._node_of: list[int] = [
             machine.topology.node_of_core(c)
             for c in machine.topology.all_cores()]
-        self._live_threads = 0
+        #: tenant -> its managed live threads (the controller's park
+        #: check reads one entry per pass)
+        self._tenant_live: Counter[str] = Counter()
         # hot counter families resolved once (handles survive reset)
         counters = machine.counters
         self._f_tasks = counters.family("tasks")
@@ -142,7 +144,8 @@ class Scheduler:
                 f"which has no registered mask")
         thread.state = ThreadState.READY
         thread.spawned_at = self.sim.now
-        self._live_threads += 1
+        if thread.managed:
+            self._tenant_live[thread.tenant] += 1
         self.threads.add(thread)
         self._ensure_balancer()
         core = self._choose_core(thread)
@@ -166,10 +169,8 @@ class Scheduler:
         With ``tenant`` given, only its managed threads are counted.
         """
         if tenant is None:
-            return self._live_threads
-        # commutative integer reduction: order cannot reach the result
-        return sum(1 for t in self.threads
-                   if t.tenant == tenant and t.managed)
+            return len(self.threads)
+        return self._tenant_live[tenant]
 
     def core_load(self, core: int) -> int:
         """Queue length of ``core`` including the running thread.  O(1)."""
@@ -522,7 +523,8 @@ class Scheduler:
     def _exit(self, thread: SimThread) -> None:
         thread.state = ThreadState.DONE
         thread.exited_at = self.sim.now
-        self._live_threads -= 1
+        if thread.managed:
+            self._tenant_live[thread.tenant] -= 1
         self.threads.discard(thread)
         if thread.on_exit is not None:
             thread.on_exit(thread)
@@ -545,7 +547,7 @@ class Scheduler:
 
     def _balance(self) -> None:
         self._balance_scheduled = False
-        if self._live_threads == 0:
+        if not self.threads:
             return
         # one balancing domain per tenant mask (cgroups semantics: the
         # kernel balances within each cpuset); with a single tenant this
@@ -629,7 +631,7 @@ class Scheduler:
         # newly added cores pull work immediately (new-idle balancing)
         for core in sorted(added):
             self._dispatch(core)
-        if added and self._live_threads:
+        if added and self.threads:
             self._ensure_balancer()
 
     # ------------------------------------------------------------------

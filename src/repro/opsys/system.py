@@ -12,6 +12,7 @@ from collections.abc import Iterable
 
 from ..config import MachineConfig, SchedulerConfig
 from ..hardware.machine import Machine
+from ..obs.metrics import tenant_namespace
 from ..obs.recorder import current_recorder
 from ..sim.engine import Simulator
 from ..sim.tracing import TraceRecorder
@@ -23,8 +24,8 @@ from .vm import VirtualMemory
 
 
 class _TenantCpusetTelemetry:
-    """Picklable cpuset subscriber mirroring one tenant's mask into the
-    ``<prefix>.cores_added/cores_removed/allowed_cores`` instruments.
+    """Picklable cpuset subscriber mirroring one tenant's mask into its
+    ``cpuset.*`` instruments (``cores_added/cores_removed/allowed_cores``).
 
     A local closure here would break snapshot pickling (forking captures
     cpuset listener lists).
@@ -32,8 +33,9 @@ class _TenantCpusetTelemetry:
 
     __slots__ = ("cpuset", "c_added", "c_removed", "g_allowed")
 
-    def __init__(self, cpuset: CpuSet, metrics, prefix: str):
+    def __init__(self, cpuset: CpuSet, metrics, tenant: str):
         self.cpuset = cpuset
+        prefix = tenant_namespace("cpuset", tenant)
         self.c_added = metrics.counter(f"{prefix}.cores_added")
         self.c_removed = metrics.counter(f"{prefix}.cores_removed")
         self.g_allowed = metrics.gauge(f"{prefix}.allowed_cores")
@@ -78,7 +80,7 @@ class OperatingSystem:
                                    obs=self.obs)
         self._c_sim_events = self.obs.metrics.counter("sim.events")
         self.cpuset.subscribe(_TenantCpusetTelemetry(
-            self.cpuset, self.obs.metrics, "cpuset"))
+            self.cpuset, self.obs.metrics, DEFAULT_TENANT))
 
     def create_tenant(self, name: str, min_cores: int = 1) -> CpuSet:
         """Register a new tenant with its own cpuset on this machine.
@@ -93,7 +95,7 @@ class OperatingSystem:
         self.inventory.adopt(name, cpuset, min_cores=min_cores)
         self.scheduler.register_tenant_mask(name, cpuset)
         cpuset.subscribe(_TenantCpusetTelemetry(
-            cpuset, self.obs.metrics, f"cpuset.{name}"))
+            cpuset, self.obs.metrics, name))
         return cpuset
 
     @property

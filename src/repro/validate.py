@@ -13,18 +13,21 @@ Checked invariants:
 
 * every queued/running thread appears exactly once across all run
   queues and running slots;
-* managed READY/RUNNING threads sit only on allowed cores;
+* managed queued threads sit only on cores their tenant's mask allows;
 * core-pinned threads sit on their pinned core whenever it is allowed;
 * run-queue bookkeeping matches thread states;
+* the per-tenant live-thread counts match the scheduler's thread table;
 * memory-bank occupancy equals the number of placed pages;
 * bytes served by the memory banks (``imc_bytes``) equal L3 misses
   times the page size, and no L3 holds more pages than its capacity;
 * useful time never exceeds busy time on any core;
 * when a controller is attached, its PrT model's ``nalloc`` equals the
-  cpuset size and stays within bounds.
+  size of its tenant's cpuset and stays within bounds.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import ReproError
 from .opsys.system import OperatingSystem
@@ -50,6 +53,7 @@ class SystemValidator:
         """Run every invariant check once; raises on the first failure."""
         self._check_queue_membership()
         self._check_placement_legality()
+        self._check_live_counts()
         self._check_memory_accounting()
         self._check_time_accounting()
         if self.controller is not None:
@@ -103,27 +107,33 @@ class SystemValidator:
 
     def _check_placement_legality(self) -> None:
         scheduler = self.os.scheduler
-        cpuset = self.os.cpuset
         for core, thread in enumerate(scheduler._running):
-            if thread is None:
+            if thread is None or not thread.managed:
                 continue
-            if thread.managed and not cpuset.is_allowed(core):
+            mask = scheduler._mask_for(thread)
+            if not mask.is_allowed(core):
                 # a released core may finish its current chunk; queued
                 # threads however must never sit on it
                 continue
             if (thread.pinned_core is not None
-                    and cpuset.is_allowed(thread.pinned_core)
-                    and thread.managed
+                    and mask.is_allowed(thread.pinned_core)
                     and core != thread.pinned_core):
                 self._fail(f"{thread.name} pinned to "
                            f"{thread.pinned_core} but running on {core}")
         for core, queue in enumerate(scheduler._queues):
-            if not queue:
-                continue
             for thread in queue:
-                if thread.managed and not cpuset.is_allowed(core):
+                if not scheduler._may_run_on(thread, core):
                     self._fail(f"{thread.name} queued on released "
                                f"core {core}")
+
+    def _check_live_counts(self) -> None:
+        scheduler = self.os.scheduler
+        walked = Counter(t.tenant for t in scheduler.threads if t.managed)
+        counted = scheduler._tenant_live
+        if counted != walked:  # a missing tenant counts as zero
+            self._fail(f"live managed threads per tenant: counted "
+                       f"{dict(sorted(counted.items()))}, thread table "
+                       f"holds {dict(sorted(walked.items()))}")
 
     def _check_memory_accounting(self) -> None:
         memory = self.os.machine.memory
@@ -162,7 +172,7 @@ class SystemValidator:
     def _check_controller_consistency(self) -> None:
         controller = self.controller
         nalloc = controller.model.nalloc
-        mask = len(self.os.cpuset)
+        mask = len(controller.cpuset)
         if nalloc != mask:
             self._fail(f"model nalloc {nalloc} != cpuset size {mask}")
         if not (controller.config.min_cores <= nalloc

@@ -88,4 +88,3 @@ class TestEngineAndExperiment:
         config = EngineConfig()
         assert config.workers_follow_mask is True
         assert config.loader_node == 0
-        assert config.numa_aware is False

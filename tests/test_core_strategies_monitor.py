@@ -8,7 +8,6 @@ from repro.core.strategies import (CpuLoadStrategy, HtImcStrategy,
                                    UsefulLoadStrategy, make_strategy)
 from repro.errors import ConfigError
 from repro.hardware.prebuilt import small_numa
-from repro.opsys.loadstats import LoadSample
 from repro.opsys.system import OperatingSystem
 from repro.opsys.workitem import ListWorkSource, WorkItem
 from repro.sim.tracing import TransitionRecord
@@ -17,15 +16,11 @@ from repro.sim.tracing import TransitionRecord
 def make_sample(busy=50.0, useful=40.0, ht=0.0, imc=0.0, runnable=0,
                 allocated=4):
     cores = tuple(range(allocated))
-    load = LoadSample(
-        time=1.0, window=0.02,
-        per_core_busy={c: busy for c in cores},
-        per_core_useful={c: useful for c in cores},
-        allocated_cores=cores)
-    return MonitorSample(time=1.0, window=0.02, load=load, ht_bytes=ht,
-                         imc_bytes=imc, l3_misses=0.0,
-                         runnable_threads=runnable,
-                         n_allocated=allocated)
+    return MonitorSample(time=1.0, window=0.02,
+                         per_core_busy={c: busy for c in cores},
+                         per_core_useful={c: useful for c in cores},
+                         allocated_cores=cores, ht_bytes=ht,
+                         imc_bytes=imc, runnable_threads=runnable)
 
 
 class TestCpuLoadStrategy:
@@ -99,7 +94,7 @@ class TestMonitor:
         sample = monitor.sample()
         assert sample.imc_bytes > 0
         assert sample.window == pytest.approx(os_.now)
-        assert sample.n_allocated == os_.topology.n_cores
+        assert len(sample.allocated_cores) == os_.topology.n_cores
         # second sample over an empty window
         second = monitor.sample()
         assert second.imc_bytes == 0.0

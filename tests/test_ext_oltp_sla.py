@@ -11,7 +11,6 @@ from repro.db.operators import IndexLookup, relation_rows
 from repro.db.plan import profile_query
 from repro.errors import ConfigError, WorkloadError
 from repro.experiments.common import build_system
-from repro.opsys.loadstats import LoadSample
 from repro.opsys.workitem import ListWorkSource, WorkItem
 from repro.workloads.oltp import (oltp_stream, point_lookup,
                                   point_query_names,
@@ -129,14 +128,11 @@ class TestUnmanagedThreads:
 
 def _sample(busy=50.0, ht=0.0, window=1.0):
     cores = tuple(range(16))
-    load = LoadSample(time=1.0, window=window,
-                      per_core_busy={c: busy for c in cores},
-                      per_core_useful={c: busy * 0.8 for c in cores},
-                      allocated_cores=cores)
-    return MonitorSample(time=1.0, window=window, load=load,
-                         ht_bytes=ht, imc_bytes=ht * 2 + 1,
-                         l3_misses=0.0, runnable_threads=32,
-                         n_allocated=16)
+    return MonitorSample(time=1.0, window=window,
+                         per_core_busy={c: busy for c in cores},
+                         per_core_useful={c: busy * 0.8 for c in cores},
+                         allocated_cores=cores, ht_bytes=ht,
+                         imc_bytes=ht * 2 + 1, runnable_threads=32)
 
 
 class TestSlaGovernor:

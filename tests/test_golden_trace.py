@@ -8,7 +8,10 @@ run serialising to the same bytes.  They must also hold under any
 would make the trace depend on the interpreter's hash seed.  No trace
 golden covers two tenants, so a fixture of the two-controller
 extension's outcome (slice samples, per-tenant rows, makespan) pins the
-controller's foreign-aware plan step.
+controller's foreign-aware plan step.  Two ``metrics.jsonl`` fixtures
+pin the telemetry a recorded fig7 and two-tenant run export, so the
+controller's per-tenant ``controller.*``/``petrinet.*`` instruments keep
+their names and values.
 
 Regenerate (only when a trace change is *intended* and reviewed)::
 
@@ -25,10 +28,12 @@ import sys
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import (ext_multi_tenant,
                                fig07_state_transitions,
                                fig13_scheduling,
                                fig16_migration_modes)
+from repro.obs import METRICS_JSONL, load_metrics_jsonl
 from repro.sim.export import dump_records, load_records
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -139,6 +144,32 @@ def test_two_tenant_outcome_is_golden():
     diverged = [key for key in new if new[key] != old.get(key)]
     pytest.fail(f"{fixture.name}: the two-controller outcome diverged "
                 f"from the golden fixture in {diverged}")
+
+
+def _check_telemetry_metrics(experiment: str, fixture: pathlib.Path,
+                             tmp_path: pathlib.Path) -> None:
+    """``repro run <experiment> --telemetry`` writes ``fixture``'s bytes."""
+    out = tmp_path / "telemetry"
+    assert main(["run", experiment, "--telemetry", str(out)]) == 0
+    if _matches_golden((out / METRICS_JSONL).read_bytes(), fixture):
+        return
+    old = {e["name"]: e for e in load_metrics_jsonl(fixture)}
+    new = {e["name"]: e for e in load_metrics_jsonl(out / METRICS_JSONL)}
+    diverged = sorted(name for name in old.keys() | new.keys()
+                      if old.get(name) != new.get(name))
+    pytest.fail(f"{fixture.name}: the recorded metrics diverged from "
+                f"the golden fixture in {diverged}")
+
+
+def test_fig07_metrics_are_golden(tmp_path):
+    _check_telemetry_metrics("fig7", GOLDEN_DIR / "fig07_metrics.jsonl",
+                             tmp_path)
+
+
+def test_two_tenant_metrics_are_golden(tmp_path):
+    _check_telemetry_metrics("multi-tenant",
+                             GOLDEN_DIR / "two_tenant_metrics.jsonl",
+                             tmp_path)
 
 
 #: run in a fresh interpreter: print each golden the traces diverge from

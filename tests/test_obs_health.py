@@ -165,9 +165,9 @@ class TestSuiteAndReplay:
 
 
 def test_health_table_agrees_with_the_metric_channel(tmp_path, capsys):
-    """The decision log and the metrics snapshot are two channels of
-    one recorded run; the health table built from the first must count
-    the same controller passes and core moves as the second."""
+    """The health table replays the decision log, and the controller
+    metrics are counted from the same decisions; both must report the
+    same controller passes and core moves."""
     out = tmp_path / "fig7"
     assert main(["run", "fig7", "--telemetry", str(out)]) == 0
     counters = {entry["name"]: entry["value"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
+from repro.obs import Recorder
 from repro.obs.provenance import (Decision, NullDecisionLog,
                                   dump_decisions, explain_decision,
                                   load_decisions)
@@ -44,6 +45,41 @@ class TestDecision:
 
 
 class TestDecisionLog:
+    def test_record_writes_the_tenants_metric_families(self):
+        recorder = Recorder()
+        log = recorder.decisions
+        log.record(decision())
+        # starved: t5 fired, but no free core was left to take
+        log.record(decision(tick=13, core=None, node=None, cores_after=4,
+                            metric=90.0))
+        log.record(decision(tick=14, state="Idle", entry="t0", exit="t4",
+                            action="release", core=9, cores_before=5,
+                            cores_after=4, metric=3.0))
+        log.record(decision(tick=0, tenant="volcano", state="Stable",
+                            entry="t2", exit="t3", action=None, core=None,
+                            node=None, cores_after=4, metric=40.0))
+        values = {e["name"]: e.get("value", e.get("count"))
+                  for e in recorder.metrics.snapshot()}
+        assert {name: values[name] for name in (
+            "controller.ticks", "controller.allocations",
+            "controller.releases", "controller.cores_allocated",
+            "controller.metric", "petrinet.fired.t1",
+            "petrinet.fired.t5", "petrinet.fired.t0",
+            "petrinet.fired.t4", "petrinet.fired.t6")} == {
+            "controller.ticks": 3, "controller.allocations": 1,
+            "controller.releases": 1, "controller.cores_allocated": 4,
+            "controller.metric": 3, "petrinet.fired.t1": 2,
+            "petrinet.fired.t5": 2, "petrinet.fired.t0": 1,
+            "petrinet.fired.t4": 1, "petrinet.fired.t6": 0}
+        assert recorder.metrics.get("controller.metric").total == \
+            pytest.approx(82.3 + 90.0 + 3.0)
+        volcano = sorted(n for n in values if ".volcano." in n)
+        assert len(volcano) == 13
+        assert values["controller.volcano.ticks"] == 1
+        assert values["petrinet.volcano.fired.t3"] == 1
+        assert values["controller.volcano.allocations"] == 0
+        assert len(log) == 4
+
     def test_null_log_discards(self):
         log = NullDecisionLog()
         log.record(decision())

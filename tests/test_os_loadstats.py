@@ -24,7 +24,7 @@ def test_unprimed_sample_is_zero(setup):
     advance(os_, 1.0)
     sample = monitor.sample()
     assert sample.window == 0.0
-    assert sample.load.average_allocated == 0.0
+    assert sample.cpu_load == 0.0
 
 
 def test_busy_percentage_over_window(setup):
@@ -32,9 +32,9 @@ def test_busy_percentage_over_window(setup):
     monitor.prime()
     machine.account_busy(0, 0.5)
     advance(os_, 1.0)
-    load = monitor.sample().load
-    assert load.per_core_busy[0] == pytest.approx(50.0)
-    assert load.per_core_busy[1] == 0.0
+    sample = monitor.sample()
+    assert sample.per_core_busy[0] == pytest.approx(50.0)
+    assert sample.per_core_busy[1] == 0.0
 
 
 def test_average_allocated_respects_mask(setup):
@@ -44,9 +44,9 @@ def test_average_allocated_respects_mask(setup):
     machine.account_busy(0, 1.0)
     machine.account_busy(2, 1.0)  # not in the mask: ignored
     advance(os_, 1.0)
-    load = monitor.sample().load
-    assert load.allocated_cores == (0, 1)
-    assert load.average_allocated == pytest.approx(50.0)
+    sample = monitor.sample()
+    assert sample.allocated_cores == (0, 1)
+    assert sample.cpu_load == pytest.approx(50.0)
 
 
 def test_useful_flavour_tracks_useful_counter(setup):
@@ -55,9 +55,9 @@ def test_useful_flavour_tracks_useful_counter(setup):
     machine.account_busy(0, 1.0)
     machine.counters.add("useful_time", 0, 0.25)
     advance(os_, 1.0)
-    load = monitor.sample().load
-    assert load.per_core_useful[0] == pytest.approx(25.0)
-    assert load.average_useful_allocated < load.average_allocated
+    sample = monitor.sample()
+    assert sample.per_core_useful[0] == pytest.approx(25.0)
+    assert sample.useful_load < sample.cpu_load
 
 
 def test_percentages_clamped_to_100(setup):
@@ -65,7 +65,7 @@ def test_percentages_clamped_to_100(setup):
     monitor.prime()
     machine.account_busy(0, 5.0)  # more busy than wall (batched account)
     advance(os_, 1.0)
-    assert monitor.sample().load.per_core_busy[0] == 100.0
+    assert monitor.sample().per_core_busy[0] == 100.0
 
 
 def test_windows_are_consecutive(setup):
@@ -73,22 +73,11 @@ def test_windows_are_consecutive(setup):
     monitor.prime()
     machine.account_busy(0, 1.0)
     advance(os_, 1.0)
-    first = monitor.sample().load
+    first = monitor.sample()
     advance(os_, 2.0)  # no new busy time
-    second = monitor.sample().load
+    second = monitor.sample()
     assert first.per_core_busy[0] == pytest.approx(100.0)
     assert second.per_core_busy[0] == 0.0
-
-
-def test_average_node_over_core_group(setup):
-    os_, machine, monitor = setup
-    monitor.prime()
-    machine.account_busy(0, 1.0)
-    advance(os_, 1.0)
-    load = monitor.sample().load
-    node0_cores = list(machine.topology.cores_of_node(0))
-    assert load.average_node(node0_cores) == pytest.approx(50.0)
-    assert load.average_node([]) == 0.0
 
 
 def test_a_tenant_monitor_averages_over_the_tenant_mask():
@@ -101,6 +90,5 @@ def test_a_tenant_monitor_averages_over_the_tenant_mask():
     os_.machine.account_busy(2, 1.0)
     advance(os_, 1.0)
     sample = monitor.sample()
-    assert sample.load.allocated_cores == (2, 3)
+    assert sample.allocated_cores == (2, 3)
     assert sample.cpu_load == pytest.approx(50.0)
-    assert sample.n_allocated == 2

@@ -193,7 +193,7 @@ class TestLoadBalancing:
         for tid in range(1, 2001):
             thread = SimThread(ListWorkSource(), tid)
             thread.state = ThreadState.READY
-            sched._live_threads += 1
+            sched._tenant_live[thread.tenant] += 1
             sched.threads.add(thread)
             thread.core = 0
             sched._queues[0].append(thread)
@@ -224,7 +224,7 @@ class TestLoadBalancing:
                                len(sched.threads) + 1,
                                pinned_node=pinned_node)
             thread.state = ThreadState.READY
-            sched._live_threads += 1
+            sched._tenant_live[thread.tenant] += 1
             sched.threads.add(thread)
             thread.core = 0
             sched._queues[0].append(thread)

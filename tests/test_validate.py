@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.config import ControllerConfig
+from repro.core.controller import ElasticController
+from repro.core.modes import make_mode
+from repro.core.strategies import CpuLoadStrategy
 from repro.db.clients import repeat_stream
-from repro.experiments.common import build_system
+from repro.experiments.common import (build_system, capture_system,
+                                      fork_system)
+from repro.hardware.prebuilt import small_numa
+from repro.opsys.system import OperatingSystem
 from repro.opsys.thread import SimThread, ThreadState
 from repro.opsys.workitem import ListWorkSource, WorkItem
 from repro.validate import InvariantViolation, SystemValidator
@@ -111,3 +118,76 @@ def test_detects_overfull_l3():
     cache._runs.append(range(0, cache.capacity_pages + 1))
     with pytest.raises(InvariantViolation, match="socket 1 L3 holds"):
         SystemValidator(sut.os).check()
+
+
+def _dense_controller(os_, tenant):
+    return ElasticController(os_, make_mode("dense", os_.topology),
+                             CpuLoadStrategy(), ControllerConfig(),
+                             tenant=tenant)
+
+
+def test_named_tenant_controller_checks_against_its_own_mask():
+    # the default tenant's mask stays machine-wide; tenant t's
+    # controller holds one core, and that is the mask its model tracks
+    os_ = OperatingSystem(small_numa())
+    os_.create_tenant("t")
+    controller = _dense_controller(os_, "t")
+    controller.start()
+    assert len(controller.cpuset) == 1 < len(os_.cpuset)
+    SystemValidator(os_, controller).check()
+    controller.model.sync_nalloc(3)
+    with pytest.raises(InvariantViolation, match="nalloc 3 != cpuset"):
+        SystemValidator(os_, controller).check()
+
+
+def test_detects_named_tenant_thread_queued_on_a_core_it_released():
+    # core 0 is allowed by the default tenant's mask but not by t's, so
+    # only t's own mask shows the misplacement
+    os_ = OperatingSystem(small_numa())
+    os_.create_tenant("t")
+    os_.inventory.seed("t", [2, 3])
+    for _ in range(3):  # two run on cores 2 and 3, one waits
+        os_.spawn_thread(ListWorkSource([WorkItem("x", cycles=1e9)]),
+                         tenant="t")
+    SystemValidator(os_).check()
+    queues = os_.scheduler._queues
+    (core,) = [c for c in (2, 3) if queues[c]]
+    queues[0].append(queues[core].pop())
+    with pytest.raises(InvariantViolation,
+                       match="queued on released core 0"):
+        SystemValidator(os_).check()
+
+
+def test_live_thread_counts_follow_spawn_exit_and_fork():
+    sut = build_system(scale=SCALE, sim_scale=SIM)
+    os_ = sut.os
+    os_.create_tenant("t")
+    os_.inventory.seed("t", [2, 3])
+    os_.cpuset.set_mask([0, 1])
+
+    def work(cycles):
+        return ListWorkSource([WorkItem("x", cycles=cycles)])
+
+    for tenant in ("db", "t"):
+        os_.spawn_thread(work(1e6), tenant=tenant)
+        os_.spawn_thread(work(1e6), tenant=tenant)
+        os_.spawn_thread(work(1e10), tenant=tenant)
+    os_.spawn_thread(work(1e10), managed=False)
+    scheduler = os_.scheduler
+    assert (scheduler.live_threads("db"), scheduler.live_threads("t"),
+            scheduler.live_threads()) == (3, 3, 7)
+    os_.run(until=0.05)
+    assert (scheduler.live_threads("db"), scheduler.live_threads("t"),
+            scheduler.live_threads()) == (1, 1, 3)
+    assert scheduler.live_threads("nobody") == 0
+    SystemValidator(os_).check()
+
+    fork = fork_system(capture_system(sut))
+    forked = fork.os.scheduler
+    assert (forked.live_threads("db"), forked.live_threads("t"),
+            forked.live_threads()) == (1, 1, 3)
+    SystemValidator(fork.os).check()
+    forked._tenant_live["t"] += 1
+    with pytest.raises(InvariantViolation,
+                       match="counted {'db': 1, 't': 2}"):
+        SystemValidator(fork.os).check()
