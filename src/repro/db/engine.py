@@ -22,12 +22,15 @@ from ..opsys.system import OperatingSystem
 from .catalog import Catalog
 from .cost import CostModel, compile_profile
 from .operators import PlanNode
-from .plan import QueryProfile, profile_query
+from .plan import QueryProfile, StageProfile, profile_query
 from .volcano import QueryExecution
 
 
 class DatabaseEngine:
     """Base engine: plan registry, profiling, submission."""
+
+    #: the work source each submitted query runs as
+    execution_class = QueryExecution
 
     def __init__(self, os: OperatingSystem, catalog: Catalog,
                  byte_scale: float = 1.0,
@@ -110,12 +113,14 @@ class DatabaseEngine:
             count = min(count, self.config.max_workers)
         return count
 
-    def pinned_cores(self, n_workers: int) -> list[int | None] | None:
-        """Per-core worker pinning; the base engine leaves it to the OS."""
-        return None
-
     def pinned_nodes(self, n_workers: int) -> list[int | None] | None:
         """Per-node worker affinity; the base engine leaves it to the OS."""
+        return None
+
+    def stage_partitions(self, n_workers: int,
+                         ) -> Callable[[StageProfile], int] | None:
+        """Items per parallel stage; the base engine splits each stage
+        into one item per worker."""
         return None
 
     def submit(self, name: str, client_id: int = 0,
@@ -128,12 +133,13 @@ class DatabaseEngine:
         n_workers = self.worker_count()
         if self._sizer is not None:
             n_workers = self._sizer.workers_for(profile, n_workers)
-        compiled = compile_profile(profile, self.catalog, n_workers,
-                                   self.os.machine.memory, self.cost)
-        execution = QueryExecution(compiled, self.os, client_id=client_id,
-                                   on_done=on_done)
-        execution.start(n_workers, self.pinned_cores(n_workers),
-                        self.pinned_nodes(n_workers),
+        compiled = compile_profile(
+            profile, self.catalog, n_workers, self.os.machine.memory,
+            self.cost, stage_partitions=self.stage_partitions(n_workers))
+        execution = self.execution_class(compiled, self.os,
+                                         client_id=client_id,
+                                         on_done=on_done)
+        execution.start(n_workers, self.pinned_nodes(n_workers),
                         managed=self.config.managed_threads,
                         tenant=self.tenant)
         return execution

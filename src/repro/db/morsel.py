@@ -27,7 +27,7 @@ from ..opsys.system import OperatingSystem
 from ..opsys.thread import SimThread
 from ..opsys.workitem import WorkItem
 from .catalog import Catalog
-from .cost import CostModel, compile_profile
+from .cost import CostModel
 from .engine import DatabaseEngine
 from .plan import StageProfile
 from .volcano import QueryExecution
@@ -83,6 +83,8 @@ class MorselQueryExecution(QueryExecution):
 class MorselEngine(DatabaseEngine):
     """HyPer-style engine: pinned workers, dynamic morsel dispatch."""
 
+    execution_class = MorselQueryExecution
+
     def __init__(self, os: OperatingSystem, catalog: Catalog,
                  byte_scale: float = 1.0,
                  config: EngineConfig | None = None,
@@ -96,8 +98,10 @@ class MorselEngine(DatabaseEngine):
 
     # ------------------------------------------------------------------
 
-    def _stage_partitions(self, n_workers: int,
-                          ) -> Callable[[StageProfile], int]:
+    def stage_partitions(self, n_workers: int,
+                         ) -> Callable[[StageProfile], int]:
+        """Many small morsels per parallel stage, at least one per
+        worker."""
         def partitions(stage: StageProfile) -> int:
             if stage.output_per_worker:
                 # per-worker local aggregation tables, as in HyPer
@@ -123,24 +127,3 @@ class MorselEngine(DatabaseEngine):
         topo = self.os.topology
         return [topo.node_of_core(visible[w % len(visible)])
                 for w in range(n_workers)]
-
-    def submit(self, name: str, client_id: int = 0, on_done=None,
-               ) -> MorselQueryExecution:
-        """Launch one query with morsel-grained stages."""
-        from ..errors import DatabaseError
-
-        if not self.catalog.loaded:
-            raise DatabaseError("load() the engine before submitting")
-        profile = self.profile(name)
-        n_workers = self.worker_count()
-        compiled = compile_profile(
-            profile, self.catalog, n_workers, self.os.machine.memory,
-            self.cost, stage_partitions=self._stage_partitions(n_workers))
-        execution = MorselQueryExecution(compiled, self.os,
-                                         client_id=client_id,
-                                         on_done=on_done)
-        execution.start(n_workers,
-                        pinned_nodes=self.pinned_nodes(n_workers),
-                        managed=self.config.managed_threads,
-                        tenant=self.tenant)
-        return execution

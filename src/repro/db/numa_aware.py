@@ -4,12 +4,13 @@ Differences from the MonetDB-like engine (paper §V-C / §VI):
 
 * base data is **partitioned round-robin across NUMA nodes** at load time
   (columnstore segments spread over memory banks);
-* each query worker is **pinned** to a core of the node owning its data
-  partition, so threads and data stay together without OS involvement;
-* when the elastic mechanism shrinks the mask below a worker's pinned core,
-  the scheduler falls back to a sibling core on the same node (and only
-  then anywhere) — "less effort to maintain coherence of such association",
-  as the paper puts it.
+* each query worker is **affined to the node** owning its data partition
+  (not pinned to a core): the scheduler places it on that node's least
+  loaded allowed core, so threads and data stay together;
+* when the elastic mechanism leaves the node no allowed core, or the node
+  is congested relative to the rest of the mask, the scheduler places the
+  worker anywhere in the mask — "less effort to maintain coherence of such
+  association", as the paper puts it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .engine import DatabaseEngine
 
 
 class NumaAwareEngine(DatabaseEngine):
-    """SQL Server-like engine: partitioned placement, pinned workers."""
+    """SQL Server-like engine: partitioned placement, node-affined
+    workers."""
 
     def __init__(self, os: OperatingSystem, catalog: Catalog,
                  byte_scale: float = 1.0,

@@ -49,7 +49,6 @@ class QueryExecution:
     # ------------------------------------------------------------------
 
     def start(self, n_workers: int,
-              pinned_cores: Sequence[int | None] | None = None,
               pinned_nodes: Sequence[int | None] | None = None,
               managed: bool = True,
               tenant: str = DEFAULT_TENANT) -> None:
@@ -59,12 +58,10 @@ class QueryExecution:
         self.start_time = self.os.now
         self._advance_stage()
         for w in range(n_workers):
-            pin = pinned_cores[w] if pinned_cores is not None else None
             node = pinned_nodes[w] if pinned_nodes is not None else None
             thread = self.os.spawn_thread(
                 self, name=f"{self.query_name}.w{w}",
-                process_id=self.client_id, pinned_core=pin,
-                pinned_node=node, managed=managed,
+                process_id=self.client_id, pinned_node=node, managed=managed,
                 on_exit=self._worker_exited, tenant=tenant)
             self._workers.append(thread)
             self._workers_alive += 1

@@ -10,7 +10,7 @@ This package stands in for the Linux kernel facilities the paper relies on:
 """
 
 from .cpuset import CpuSet
-from .inventory import DEFAULT_TENANT, CoreInventory, CoreLease
+from .inventory import DEFAULT_TENANT, CoreInventory
 from .scheduler import Scheduler
 from .system import OperatingSystem
 from .thread import SimThread, ThreadState, WorkSource
@@ -25,7 +25,6 @@ __all__ = [
     "WorkSource",
     "CpuSet",
     "CoreInventory",
-    "CoreLease",
     "DEFAULT_TENANT",
     "VirtualMemory",
     "Scheduler",

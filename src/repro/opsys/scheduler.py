@@ -58,12 +58,12 @@ class Scheduler:
     """The simulated kernel scheduler for one machine."""
 
     def __init__(self, sim: Simulator, machine: Machine, vm: VirtualMemory,
-                 cpuset: CpuSet, config: SchedulerConfig | None = None,
+                 tenant_masks: dict[str, CpuSet],
+                 config: SchedulerConfig | None = None,
                  tracer: TraceRecorder | None = None, obs=None):
         self.sim = sim
         self.machine = machine
         self.vm = vm
-        self.cpuset = cpuset
         self.config = config or SchedulerConfig()
         self.tracer = tracer if tracer is not None else TraceRecorder()
         # telemetry instruments are bound once; against a NullRecorder
@@ -81,8 +81,6 @@ class Scheduler:
         self._h_stage = metrics.histogram("db.stage_seconds",
                                           TIME_BUCKETS)
         n_cores = machine.topology.n_cores
-        if cpuset.n_cores != n_cores:
-            raise SchedulerError("cpuset size does not match the machine")
         self._queues: list[deque[SimThread]] = [deque()
                                                 for _ in range(n_cores)]
         self._running: list[SimThread | None] = [None] * n_cores
@@ -123,9 +121,8 @@ class Scheduler:
             cfg.page_bytes / cfg.dram_bandwidth
             + lines / cfg.memory_parallelism * cfg.dram_latency)
         #: tenant name -> the cpuset confining that tenant's managed
-        #: threads; the default tenant owns the legacy machine-wide mask
-        self._tenant_masks: dict[str, CpuSet] = {DEFAULT_TENANT: cpuset}
-        cpuset.subscribe(_TenantMaskListener(self, DEFAULT_TENANT))
+        #: threads: the core inventory's own registry, bound, not copied
+        self._tenant_masks = tenant_masks
 
     # ------------------------------------------------------------------
     # public API
@@ -176,13 +173,8 @@ class Scheduler:
         """Queue length of ``core`` including the running thread.  O(1)."""
         return self._load[core]
 
-    def runnable_threads(self, tenant: str | None = None) -> int:
-        """Ready or running threads across all cores.
-
-        With ``tenant`` given, only its managed threads are counted.
-        """
-        if tenant is None:
-            return sum(self._load)
+    def runnable_threads(self, tenant: str) -> int:
+        """``tenant``'s managed threads ready or running on any core."""
         return sum(1 for t in chain(*self._queues, self._running)
                    if t is not None and t.tenant == tenant and t.managed)
 
@@ -190,21 +182,15 @@ class Scheduler:
     # tenant masks
     # ------------------------------------------------------------------
 
-    def register_tenant_mask(self, tenant: str, cpuset: CpuSet) -> None:
-        """Confine ``tenant``'s managed threads to ``cpuset``.
+    def create_tenant(self, tenant: str) -> None:
+        """Start honouring the mask just registered for ``tenant``.
 
-        The scheduler honours one mask per tenant exactly as it honours
-        the legacy machine-wide one: placement, idle pulls, balancing
-        and eviction all consult the mask of the *thread's* tenant.
+        Placement, idle pulls, balancing and eviction all consult the
+        mask of the *thread's* tenant; this subscribes the eviction
+        listener to it.
         """
-        if cpuset.n_cores != self.machine.topology.n_cores:
-            raise SchedulerError("tenant mask size does not match "
-                                 "the machine")
-        if tenant in self._tenant_masks:
-            raise SchedulerError(
-                f"tenant {tenant!r} already has a mask")
-        self._tenant_masks[tenant] = cpuset
-        cpuset.subscribe(_TenantMaskListener(self, tenant))
+        self._tenant_masks[tenant].subscribe(
+            _TenantMaskListener(self, tenant))
 
     def _mask_for(self, thread: SimThread) -> CpuSet | None:
         """The cpuset confining ``thread`` (``None`` for unmanaged)."""
@@ -232,7 +218,8 @@ class Scheduler:
             allowed = self.machine.topology.all_cores()
         # historical quirk, kept deliberately: an *unmanaged* pinned
         # thread is still guarded by the default tenant's mask here
-        guard = mask if mask is not None else self.cpuset
+        guard = (mask if mask is not None
+                 else self._tenant_masks[DEFAULT_TENANT])
         if thread.pinned_core is not None:
             if guard.is_allowed(thread.pinned_core):
                 return thread.pinned_core

@@ -1,14 +1,12 @@
 """The OperatingSystem facade: one object wiring machine, VM and scheduler.
 
 Database engines and workloads are written against this class rather than
-the individual parts.  It owns the simulator clock, the cpuset (initially
-exposing every core, like an unmanaged Linux box), and exposes convenience
-constructors for threads.
+the individual parts.  It owns the simulator clock, the default tenant's
+cpuset (initially exposing every core, like an unmanaged Linux box), and
+exposes convenience constructors for threads.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 from ..config import MachineConfig, SchedulerConfig
 from ..hardware.machine import Machine
@@ -52,7 +50,6 @@ class OperatingSystem:
 
     def __init__(self, machine_config: MachineConfig | None = None,
                  scheduler_config: SchedulerConfig | None = None,
-                 initial_mask: Iterable[int] | None = None,
                  tracer: TraceRecorder | None = None,
                  sim: Simulator | None = None,
                  obs=None):
@@ -66,21 +63,19 @@ class OperatingSystem:
         #: telemetry recorder shared by every layer of this system;
         #: defaults to the installed one (or the null fast path)
         self.obs = obs if obs is not None else current_recorder()
-        self.cpuset = CpuSet(self.machine.topology.n_cores, initial_mask)
-        #: the core-lease ledger arbitrating between tenants; the default
-        #: tenant owns the legacy machine-wide cpuset above
+        #: the tenant registry: every tenant's cpuset, and the core
+        #: leases arbitrating between governed tenants
         self.inventory = CoreInventory(self.machine.topology.n_cores)
-        self.inventory.adopt(DEFAULT_TENANT, self.cpuset)
         sched_cfg = scheduler_config or SchedulerConfig()
         self.vm = VirtualMemory(
             self.machine, numa_balancing=sched_cfg.numa_balancing,
             migration_streak=sched_cfg.numa_migration_streak)
         self.scheduler = Scheduler(self.sim, self.machine, self.vm,
-                                   self.cpuset, sched_cfg, self.tracer,
-                                   obs=self.obs)
+                                   self.inventory.cpusets, sched_cfg,
+                                   self.tracer, obs=self.obs)
         self._c_sim_events = self.obs.metrics.counter("sim.events")
-        self.cpuset.subscribe(_TenantCpusetTelemetry(
-            self.cpuset, self.obs.metrics, DEFAULT_TENANT))
+        #: the default tenant's cpuset: the legacy machine-wide mask
+        self.cpuset = self.create_tenant(DEFAULT_TENANT)
 
     def create_tenant(self, name: str, min_cores: int = 1) -> CpuSet:
         """Register a new tenant with its own cpuset on this machine.
@@ -88,12 +83,11 @@ class OperatingSystem:
         The fresh cpuset starts machine-wide (like an unmanaged Linux
         box); a controller seeding the tenant's leases shrinks it.  The
         scheduler confines the tenant's managed threads to the mask, and
-        per-tenant ``cpuset.<name>.*`` instruments mirror the default
-        tenant's telemetry.
+        ``cpuset.<name>.*`` instruments mirror it.
         """
         cpuset = CpuSet(self.machine.topology.n_cores)
         self.inventory.adopt(name, cpuset, min_cores=min_cores)
-        self.scheduler.register_tenant_mask(name, cpuset)
+        self.scheduler.create_tenant(name)
         cpuset.subscribe(_TenantCpusetTelemetry(
             cpuset, self.obs.metrics, name))
         return cpuset

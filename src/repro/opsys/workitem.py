@@ -50,7 +50,7 @@ class WorkItem:
     __slots__ = (
         "label", "reads", "writes", "cycles", "fixed_cycles", "query_name",
         "on_complete", "_read_pos", "_write_pos", "_cycles_done",
-        "started_at", "extra_stall", "_total_pages", "_total_cycles",
+        "started_at", "_total_pages", "_total_cycles",
     )
 
     def __init__(self, label: str,
@@ -79,8 +79,6 @@ class WorkItem:
         self._total_cycles = self.cycles + self.fixed_cycles
         #: set by the scheduler on first dispatch (for Tomograph records)
         self.started_at: float | None = None
-        #: one-shot extra stall charged on next chunk (migration cost)
-        self.extra_stall = 0.0
 
     @property
     def total_pages(self) -> int:
@@ -152,7 +150,6 @@ class ListWorkSource:
 
     def __init__(self, items: Sequence[WorkItem] = ()):
         self._queue: deque[WorkItem] = deque(items)
-        self._closed = True
 
     def push(self, item: WorkItem) -> None:
         """Append one more item."""

@@ -251,13 +251,40 @@ def test_rejected_allocation_rolls_back_leases_masks_and_trace():
 
     def state():
         return ({t: os_.inventory.cpuset_of(t).allowed() for t in "ab"},
-                os_.inventory.leases(), os_.tracer.of(CoreAllocation))
+                {t: os_.inventory.mask_of(t) for t in "ab"},
+                [os_.inventory.owner_of(c) for c in range(4)],
+                os_.tracer.of(CoreAllocation))
 
     before = state()
     with pytest.raises(LeaseError, match="already leased"):
         os_.inventory.acquire("a", 1)
     assert state() == before
     os_.inventory.check()
+
+
+def test_refused_acquire_on_an_unseeded_tenant_leases_nothing():
+    # an unseeded tenant holds no leases and its cpuset is machine-wide;
+    # refusing its acquire must leave no phantom lease on the core
+    os_ = OperatingSystem(small_numa())
+    for tenant in ("t", "u"):
+        os_.create_tenant(tenant)
+    inventory = os_.inventory
+
+    def state():
+        tenants = inventory.tenants()
+        return ([inventory.owner_of(core) for core in range(4)],
+                {t: inventory.mask_of(t) for t in tenants},
+                {t: inventory.cpuset_of(t).allowed() for t in tenants},
+                inventory.unavailable_to("db"), inventory.free_cores())
+
+    before = state()
+    with pytest.raises(AllocationError):
+        inventory.acquire("t", 1)
+    assert state() == before
+    assert inventory.owner_of(1) is None
+    inventory.check()
+    inventory.seed("u", [1])
+    assert inventory.owner_of(1) == "u"
 
 
 # a core leased to the other tenant, and a core "a" already holds
@@ -312,13 +339,6 @@ def test_thread_of_an_unregistered_tenant_is_refused():
         os_.spawn_thread(scan_source(os_), tenant="typo")
     assert not os_.scheduler.threads
     assert os_.scheduler.live_threads() == 0
-
-
-def test_duplicate_scheduler_mask_raises():
-    os_ = OperatingSystem(small_numa())
-    cpuset = os_.create_tenant("once")
-    with pytest.raises(SchedulerError):
-        os_.scheduler.register_tenant_mask("once", cpuset)
 
 
 def test_second_controller_seeds_off_the_first():

@@ -77,3 +77,29 @@ def test_engine_integration(tiny_dataset):
     assert len(small.workers) < len(big.workers)
     os_.run_until_idle()
     assert small.finished and big.finished
+
+
+@pytest.mark.parametrize("engine_name", ["monetdb", "morsel"])
+def test_every_engine_sizes_its_workers(tiny_dataset, engine_name):
+    """``predicate_aware`` shrinks a small query's pool on every engine,
+    the morsel engine included."""
+    from repro.config import EngineConfig
+    from repro.db.engine import MonetDBLike
+    from repro.db.morsel import MorselEngine
+    from repro.opsys.system import OperatingSystem
+    from repro.workloads.tpch import build_queries
+
+    engine_class = {"monetdb": MonetDBLike, "morsel": MorselEngine}
+    os_ = OperatingSystem()
+    eng = engine_class[engine_name](
+        os_, tiny_dataset.catalog(), tiny_dataset.byte_scale,
+        EngineConfig(predicate_aware=True, loader_node=None))
+    eng.load()
+    eng.register_queries(build_queries(scale=tiny_dataset.scale))
+    visible = eng.worker_count()
+    wanted = PredicateAwareSizer().workers_for(eng.profile("q2"), visible)
+    execution = eng.submit("q2")
+    assert wanted < visible
+    assert len(execution.workers) == wanted
+    os_.run_until_idle()
+    assert execution.finished

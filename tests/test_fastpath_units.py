@@ -15,6 +15,7 @@ import pytest
 from repro.errors import AllocationError, HardwareError, SimulationError
 from repro.hardware.prebuilt import opteron_8387
 from repro.opsys.cpuset import CpuSet
+from repro.opsys.inventory import DEFAULT_TENANT
 from repro.opsys.scheduler import Scheduler
 from repro.opsys.system import OperatingSystem
 from repro.sim.engine import Simulator
@@ -151,7 +152,7 @@ def test_incremental_load_matches_recomputed_load():
         os_.spawn_thread(source, name=f"w{i}")
     os_.sim.run_until_idle()
     probe()
-    assert scheduler.runnable_threads(None) == sum(
+    assert scheduler.runnable_threads(DEFAULT_TENANT) == sum(
         scheduler.core_load(c) for c in range(os_.topology.n_cores))
 
 

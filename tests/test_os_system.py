@@ -20,11 +20,6 @@ def test_boot_wires_components():
     assert os_.now == 0.0
 
 
-def test_initial_mask_honoured():
-    os_ = OperatingSystem(small_numa(), initial_mask=[1, 2])
-    assert os_.cpuset.allowed_sorted() == [1, 2]
-
-
 def test_external_simulator_and_tracer():
     sim = Simulator()
     tracer = TraceRecorder()

@@ -354,8 +354,25 @@ def test_two_tenant_system_with_controllers_round_trips():
     fork = SimState.capture(warm).restore()
     fork.run_until_idle()
     assert fork.tracer.all() == cold.tracer.all()
-    assert fork.inventory.leases() == cold.inventory.leases()
+    for tenant in ("left", "right"):
+        assert (fork.inventory.mask_of(tenant)
+                == cold.inventory.mask_of(tenant))
+    assert ([fork.inventory.owner_of(c) for c in range(4)]
+            == [cold.inventory.owner_of(c) for c in range(4)])
     assert fork.now == cold.now
+
+
+def test_scheduler_and_inventory_share_one_tenant_registry():
+    # the scheduler confines threads by the inventory's own tenant ->
+    # cpuset dict, so a tenant's mask is never recorded twice; a fork
+    # must keep the two bound to one object as well
+    warm = _two_tenant_system()
+    warm.run(until=0.05)
+    fork = SimState.capture(warm).restore()
+    for os_ in (warm, fork):
+        assert os_.scheduler._tenant_masks is os_.inventory.cpusets
+        assert list(os_.inventory.cpusets) == ["db", "left", "right"]
+        assert os_.inventory.cpusets["db"] is os_.cpuset
 
 
 def _spawn_idle(os_, count):
