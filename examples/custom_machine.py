@@ -23,7 +23,6 @@ EIGHT_SOCKET = MachineConfig(
     l3_bytes=mib(2),
     dram_bandwidth=gb_per_s(4.0),
     ht_link_bandwidth=gb_per_s(4.0),
-    ht_aggregate_bandwidth=gb_per_s(16.0),
 )
 
 

@@ -419,11 +419,11 @@ def _run_compare(args: argparse.Namespace) -> str:
                f"{args.engine}"))
 
 
-#: strategy name -> (default th_min, default th_max, metric domain)
-_VERIFY_STRATEGIES = {
-    "cpu_load": (10.0, 70.0, (0.0, 100.0)),
-    "useful_load": (10.0, 70.0, (0.0, 100.0)),
-    "ht_imc": (0.1, 0.4, (0.0, 1.0)),
+#: strategy name -> metric domain (the thresholds are the strategy's)
+_VERIFY_DOMAINS = {
+    "cpu_load": (0.0, 100.0),
+    "useful_load": (0.0, 100.0),
+    "ht_imc": (0.0, 1.0),
 }
 
 
@@ -451,6 +451,7 @@ def _load_fixture(spec: str):
 def _run_verify(args: argparse.Namespace) -> int:
     from .config import preflight_defects
     from .core.model import PerformanceModel
+    from .core.strategies import make_strategy
     from .verify import (Finding, VerificationReport,
                          verify_performance_model)
 
@@ -460,12 +461,14 @@ def _run_verify(args: argparse.Namespace) -> int:
         reports.append(verify_performance_model(
             model, grid=args.grid, subject=f"fixture {args.fixture}"))
     else:
-        names = (list(_VERIFY_STRATEGIES) if args.strategy == "all"
+        names = (list(_VERIFY_DOMAINS) if args.strategy == "all"
                  else [args.strategy])
         initial_cores = (args.min_cores if args.initial_cores is None
                          else args.initial_cores)
         for name in names:
-            th_min, th_max, domain = _VERIFY_STRATEGIES[name]
+            strategy = make_strategy(name)
+            th_min, th_max = strategy.th_min, strategy.th_max
+            domain = _VERIFY_DOMAINS[name]
             if args.th_min is not None:
                 th_min, domain = args.th_min, None
             if args.th_max is not None:

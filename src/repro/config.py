@@ -50,9 +50,9 @@ class MachineConfig:
     memory_parallelism:
         Outstanding-miss overlap (MLP) of one core.
     ht_link_bandwidth:
-        Bytes/s one HyperTransport link can carry in each direction.
-    ht_aggregate_bandwidth:
-        Bytes/s ceiling across all links (the paper's 41.6 GB/s figure).
+        Bytes/s one HyperTransport link can carry in each direction.  Each
+        directed link is its own FIFO channel, and nothing caps the sum:
+        the paper's 41.6 GB/s aggregate is four links at 10.4 GB/s.
     acp_watts:
         Average CPU Power per socket, for the energy model (paper §V-C3).
     idle_power_fraction:
@@ -73,7 +73,6 @@ class MachineConfig:
     cache_line_bytes: int = 64
     memory_parallelism: float = 5.0
     ht_link_bandwidth: float = gb_per_s(10.4)
-    ht_aggregate_bandwidth: float = gb_per_s(41.6)
     acp_watts: float = 75.0
     idle_power_fraction: float = 0.35
     ht_joules_per_bit: float = 1.4e-11

@@ -49,16 +49,6 @@ class AllocationMode:
                 return core
         raise AllocationError("no core to release")
 
-    def initial_mask(self, n_cores: int) -> list[int]:
-        """The first ``n_cores`` cores this mode would allocate."""
-        mask: list[int] = []
-        allocated: set[int] = set()
-        for _ in range(n_cores):
-            core = self.next_allocation(frozenset(allocated))
-            allocated.add(core)
-            mask.append(core)
-        return mask
-
 
 class SparseMode(AllocationMode):
     """One core at a time on a different node (paper Fig 12a)."""
@@ -102,20 +92,6 @@ class AdaptivePriorityMode(AllocationMode):
         for node in self.queue.by_priority():
             order.extend(self.topology.cores_of_node(node))
         return order
-
-    def next_allocation(self, allocated: frozenset[int]) -> int:
-        for node in self.queue.by_priority():
-            for core in self.topology.cores_of_node(node):
-                if core not in allocated:
-                    return core
-        raise AllocationError("all cores are already allocated")
-
-    def next_release(self, allocated: frozenset[int]) -> int:
-        for node in reversed(self.queue.by_priority()):
-            for core in reversed(self.topology.cores_of_node(node)):
-                if core in allocated:
-                    return core
-        raise AllocationError("no core to release")
 
 
 def make_mode(name: str, topology: Topology,

@@ -115,7 +115,6 @@ class PetriNet:
         self._places: dict[str, Place] = {}
         self._transitions: dict[str, Transition] = {}
         self._order: list[str] = []
-        self.fired_log: list[str] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -227,7 +226,6 @@ class PetriNet:
             self.place(arc.place).take()
         for arc in transition.outputs:
             self.place(arc.place).put(arc.produce(binding))
-        self.fired_log.append(name)
         return binding
 
     def step(self) -> str | None:

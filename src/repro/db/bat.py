@@ -78,13 +78,6 @@ class BAT:
         stop = (n * (part + 1)) // n_parts
         return range(pages.start + start, pages.start + stop)
 
-    def row_slice(self, part: int, n_parts: int) -> slice:
-        """Row interval of horizontal partition ``part``."""
-        if not 0 <= part < n_parts:
-            raise DatabaseError(f"partition {part}/{n_parts} out of range")
-        n = self.n_rows
-        return slice((n * part) // n_parts, (n * (part + 1)) // n_parts)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         loaded = f"pages={len(self._pages)}" if self._pages else "unloaded"
         return f"<BAT {self.name!r} rows={self.n_rows} {loaded}>"

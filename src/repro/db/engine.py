@@ -77,10 +77,6 @@ class DatabaseEngine:
         for name, root in plans.items():
             self.register_query(name, root)
 
-    def query_names(self) -> list[str]:
-        """All registered query names."""
-        return list(self._plans)
-
     def plan(self, name: str) -> PlanNode:
         """The registered logical plan for ``name``."""
         if name not in self._plans:

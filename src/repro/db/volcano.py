@@ -60,9 +60,8 @@ class QueryExecution:
         for w in range(n_workers):
             node = pinned_nodes[w] if pinned_nodes is not None else None
             thread = self.os.spawn_thread(
-                self, name=f"{self.query_name}.w{w}",
-                process_id=self.client_id, pinned_node=node, managed=managed,
-                on_exit=self._worker_exited, tenant=tenant)
+                self, name=f"{self.query_name}.w{w}", pinned_node=node,
+                managed=managed, on_exit=self._worker_exited, tenant=tenant)
             self._workers.append(thread)
             self._workers_alive += 1
 

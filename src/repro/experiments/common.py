@@ -99,14 +99,6 @@ class SystemUnderTest:
             return current.delta_total(self._baseline, name)
         return current.delta(self._baseline, name, index)
 
-    def delta_by_index(self, name: str) -> dict:
-        """Per-index counter increases since the last mark."""
-        current = self.os.counters.by_index(name)
-        if self._baseline is None:
-            return dict(current)
-        return {i: v - self._baseline.get(name, i)
-                for i, v in current.items()}
-
     # ------------------------------------------------------------------
 
     def run_clients(self, n_clients: int,

@@ -37,9 +37,6 @@ class SharedCache:
         self._runs: list[range] = []
         #: resident pages, the total length of ``_runs``
         self._size = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def __contains__(self, page: int) -> bool:
         return any(page in run for run in self._runs)
@@ -61,7 +58,6 @@ class SharedCache:
         capacity = self.capacity_pages
         size = self._size
         missed: list[range] = []
-        hits = 0
         pos = lo
         while pos < hi:
             # the lowest resident page in [pos, hi), and its run
@@ -92,7 +88,6 @@ class SharedCache:
                     pieces.append(range(end, run.stop))
                 runs[at:at + 1] = pieces
                 size -= end - pos
-                hits += end - pos
             # pages ``pos .. end - 1`` are absent now: insert them as the
             # hottest and evict the coldest pages beyond capacity
             if runs and runs[-1].stop == pos:
@@ -103,7 +98,6 @@ class SharedCache:
             over = size - capacity
             if over > 0:
                 size = capacity
-                self.evictions += over
                 k = 0
                 while over >= len(runs[k]):
                     over -= len(runs[k])
@@ -113,8 +107,6 @@ class SharedCache:
                     runs[0] = runs[0][over:]
             pos = end
         self._size = size
-        self.hits += hits
-        self.misses += hi - lo - hits
         return missed
 
     def access(self, page: int) -> bool:
@@ -124,13 +116,6 @@ class SharedCache:
         page when the cache is full.
         """
         return not self.resolve(page, page + 1)
-
-    def access_many(self, pages) -> tuple[int, int]:
-        """Touch pages in order; returns ``(hits, misses)``."""
-        misses = 0
-        for run in page_runs(pages):
-            misses += sum(map(len, self.resolve(run.start, run.stop)))
-        return len(pages) - misses, misses
 
     def invalidate(self, pages) -> int:
         """Drop specific pages (e.g. on writer invalidation); returns count."""
@@ -171,13 +156,3 @@ class SharedCache:
     def resident_pages(self) -> list[int]:
         """Resident page ids from coldest to hottest."""
         return [page for run in self._runs for page in run]
-
-    @property
-    def occupancy(self) -> float:
-        """Fraction of capacity currently resident."""
-        return self._size / self.capacity_pages
-
-    def hit_ratio(self) -> float:
-        """Lifetime hit ratio; 0.0 before any access."""
-        accesses = self.hits + self.misses
-        return self.hits / accesses if accesses else 0.0

@@ -88,21 +88,6 @@ class CounterSnapshot(_Reads):
         """Family-wide increase between ``earlier`` and this snapshot."""
         return self.total(name) - earlier.total(name)
 
-    def rate(self, earlier: "CounterSnapshot", name: str,
-             index=0) -> float:
-        """Per-second rate of one counter over the snapshot window."""
-        dt = self.time - earlier.time
-        if dt <= 0:
-            return 0.0
-        return self.delta(earlier, name, index) / dt
-
-    def rate_total(self, earlier: "CounterSnapshot", name: str) -> float:
-        """Per-second family-wide rate over the snapshot window."""
-        dt = self.time - earlier.time
-        if dt <= 0:
-            return 0.0
-        return self.delta_total(earlier, name) / dt
-
 
 class CounterBank(_Reads):
     """Mutable cumulative counters, written by the hardware/OS models.

@@ -29,11 +29,6 @@ class EnergyReport:
     cpu_joules: float
     ht_joules: float
 
-    @property
-    def total_joules(self) -> float:
-        """Combined system energy."""
-        return self.cpu_joules + self.ht_joules
-
 
 class EnergyModel:
     """Counter-driven energy estimator for one machine configuration."""

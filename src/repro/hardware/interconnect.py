@@ -56,14 +56,6 @@ class FifoChannel:
         self._free_at = start + service
         return self._free_at
 
-    def backlog(self, now: float) -> float:
-        """Seconds of already-reserved work ahead of a request at ``now``."""
-        return max(0.0, self._free_at - now)
-
-    def utilisation(self, now: float, horizon: float = 0.05) -> float:
-        """Backlog expressed as a fraction of a look-ahead horizon."""
-        return self.backlog(now) / horizon
-
 
 class Interconnect:
     """Traffic accounting and transfer-time model for the NUMA fabric."""
@@ -73,7 +65,6 @@ class Interconnect:
         self.counters = counters
         config: MachineConfig = topology.config
         self.link_bandwidth = config.ht_link_bandwidth
-        self.aggregate_bandwidth = config.ht_aggregate_bandwidth
         # one directed channel per (src, dst) socket pair
         self._links: dict[tuple[int, int], FifoChannel] = {}
         for src in topology.all_nodes():
@@ -89,10 +80,6 @@ class Interconnect:
         except KeyError:
             raise HardwareError(
                 f"no link {src_node}->{dst_node}") from None
-
-    def backlog(self, now: float) -> float:
-        """Total queued seconds across all links (congestion signal)."""
-        return sum(ch.backlog(now) for ch in self._links.values())
 
     def transfer(self, start: float, src_node: int, dst_node: int,
                  n_bytes: int) -> float:
@@ -114,11 +101,3 @@ class Interconnect:
         if hops > 1:
             done += (hops - 1) * (n_bytes / self.link_bandwidth)
         return done
-
-    def total_traffic(self) -> float:
-        """Cumulative bytes moved over the fabric since reset."""
-        return self.counters.total("ht_tx_bytes")
-
-    def traffic_by_node(self) -> dict[int, float]:
-        """Cumulative outbound bytes per node."""
-        return self.counters.by_index("ht_tx_bytes")

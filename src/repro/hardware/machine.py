@@ -41,11 +41,6 @@ class AccessResult(NamedTuple):
     bytes_local: int
     bytes_remote: int
 
-    @property
-    def bytes_total(self) -> int:
-        """All bytes pulled from DRAM (local and remote)."""
-        return self.bytes_local + self.bytes_remote
-
 
 class Machine:
     """A live NUMA machine instance for one simulation run."""
@@ -308,7 +303,3 @@ class Machine:
         """Empty every L3 (used between experiment repetitions)."""
         for cache in self.caches:
             cache.flush()
-
-    def compute_time(self, cycles: float) -> float:
-        """Seconds a core needs to retire ``cycles`` of pure compute."""
-        return cycles / self.config.frequency_hz

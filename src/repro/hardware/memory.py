@@ -199,10 +199,6 @@ class MemorySystem:
                     per_node[node] -= hi - lo
                     home[lo:hi] = home_run(UNPLACED, hi - lo)
 
-    def pages_on_node(self, node: int) -> int:
-        """Number of placed pages homed on ``node``."""
-        return self._pages_per_node[node]
-
     def placement_histogram(self) -> list[int]:
         """Placed page counts per node, indexed by node id."""
         return list(self._pages_per_node)
@@ -211,35 +207,3 @@ class MemorySystem:
         """Number of pages currently holding a home node."""
         span = self._home[:self._next_page]
         return len(span) - span.count(UNPLACED)
-
-    def pages_of(self, pages: Iterable[int]) -> dict[int, int]:
-        """Histogram (node -> count) of where the given pages live.
-
-        Unplaced pages are reported under :data:`UNPLACED`.  This is the
-        primitive behind the adaptive mode's priority queue (§IV-B2): the
-        mechanism asks where a thread's address space resides.
-        """
-        if (type(pages) is range and pages.step == 1
-                and 0 <= pages.start and pages.stop <= self._next_page):
-            n = pages.stop - pages.start
-            span = self._home[pages.start:pages.stop]
-            span_bytes = span.tobytes()
-            if span_bytes == span_bytes[:2] * n:
-                # uniform run (one allocation's pages share a home, or
-                # none placed yet): the histogram is one entry
-                return {span[0]: n} if n else {}
-            histogram: dict[int, int] = {}
-            hist_get = histogram.get
-            for node in span:
-                histogram[node] = hist_get(node, 0) + 1
-            # report unplaced first, then nodes ascending — the order
-            # the bincount-based implementation exposed
-            return {node: histogram[node] for node in sorted(histogram)}
-        home = self._home
-        next_page = self._next_page
-        histogram = {}
-        for page in pages:
-            node = (home[page] if 0 <= page < next_page
-                    else UNPLACED)
-            histogram[node] = histogram.get(node, 0) + 1
-        return histogram

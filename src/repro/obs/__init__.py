@@ -30,8 +30,7 @@ and the health table.
 from .export import (DECISIONS_JSONL, METRICS_JSONL, TRACE_JSON,
                      dump_chrome_trace, dump_metrics_jsonl, export_run,
                      load_metrics_jsonl, metric_tenant, stats_table)
-from .health import (HealthConfig, HealthSuite, TenantHealth,
-                     analyze_decisions)
+from .health import HealthSuite, TenantHealth, analyze_decisions
 from .metrics import (TIME_BUCKETS, VALUE_BUCKETS, Counter, Gauge,
                       Histogram, MetricsRegistry, NullMetricsRegistry)
 from .provenance import (Decision, DecisionLog, NullDecisionLog,
@@ -59,5 +58,5 @@ __all__ = [
     "dump_chrome_trace", "export_run", "stats_table", "metric_tenant",
     "METRICS_JSONL", "TRACE_JSON", "DECISIONS_JSONL",
     # health analyzers
-    "HealthConfig", "HealthSuite", "TenantHealth", "analyze_decisions",
+    "HealthSuite", "TenantHealth", "analyze_decisions",
 ]

@@ -21,6 +21,7 @@ import pathlib
 
 from ..analysis.report import render_table
 from ..errors import ReproError
+from ..sim.export import read_jsonl
 from .provenance import dump_decisions
 from .spans import chrome_trace_events
 
@@ -44,20 +45,11 @@ def load_metrics_jsonl(path) -> list[dict]:
     """Read a metrics JSONL snapshot back (plain dicts)."""
     path = pathlib.Path(path)
     entries = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReproError(
-                    f"{path}:{line_no}: invalid JSON") from exc
-            if not isinstance(entry, dict) or "kind" not in entry:
-                raise ReproError(
-                    f"{path}:{line_no}: not a metric snapshot entry")
-            entries.append(entry)
+    for line_no, entry in read_jsonl(path):
+        if not isinstance(entry, dict) or "kind" not in entry:
+            raise ReproError(
+                f"{path}:{line_no}: not a metric snapshot entry")
+        entries.append(entry)
     return entries
 
 

@@ -6,11 +6,11 @@ These analyzers reduce the decision-provenance stream to exactly those
 judgements, one :class:`TenantHealth` per controller:
 
 * **convergence time** — sim seconds from the tenant's first decision
-  until the controller completes ``stable_streak`` consecutive Stable
+  until the controller completes :data:`STABLE_STREAK` consecutive Stable
   passes (the LONC criterion); leaving Stable afterwards counts a
   *divergence* and restarts the clock;
 * **oscillation score** — direction flips (allocate -> release or back)
-  among the last ``osc_window`` acting decisions, normalised to [0, 1];
+  among the last :data:`OSC_WINDOW` acting decisions, normalised to [0, 1];
   a controller ping-ponging cores scores high even if each step is
   locally justified;
 * **flapping score** — Petri-net state changes per sliding window of
@@ -28,49 +28,32 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
-
-from ..errors import ReproError
 
 #: Petri-net performance state that satisfies the LONC criterion
 STABLE = "Stable"
+#: consecutive Stable passes that count as converged-on-LONC
+STABLE_STREAK = 3
+#: sliding-window length (decisions) for oscillation/flapping
+OSC_WINDOW = 20
 
 _DIRECTIONS = {"allocate": 1, "release": -1}
-
-
-@dataclass(frozen=True, slots=True)
-class HealthConfig:
-    """Tunables for the health analyzers."""
-
-    #: consecutive Stable passes that count as converged-on-LONC
-    stable_streak: int = 3
-    #: sliding-window length (decisions) for oscillation/flapping
-    osc_window: int = 20
-
-    def __post_init__(self) -> None:
-        if self.stable_streak < 1:
-            raise ReproError("stable_streak must be >= 1")
-        if self.osc_window < 2:
-            raise ReproError("osc_window must be >= 2")
 
 
 class TenantHealth:
     """Rolling health state of one tenant's controller."""
 
-    def __init__(self, tenant: str, config: HealthConfig):
+    def __init__(self, tenant: str):
         self.tenant = tenant
-        self.config = config
         self.decisions = 0
         self.first_time: float | None = None
-        self.last_time: float | None = None
         # convergence
         self._streak = 0
         self.converged = False
         self.convergence_time: float | None = None
         self.divergences = 0
         # oscillation / flapping windows
-        self._directions: deque[int] = deque(maxlen=config.osc_window)
-        self._states: deque[str] = deque(maxlen=config.osc_window)
+        self._directions: deque[int] = deque(maxlen=OSC_WINDOW)
+        self._states: deque[str] = deque(maxlen=OSC_WINDOW)
         # allocation lag: tick that left Stable, pending application
         self._episode_tick: int | None = None
         self.last_lag: int | None = None
@@ -84,7 +67,6 @@ class TenantHealth:
         self.decisions += 1
         if self.first_time is None:
             self.first_time = decision.time
-        self.last_time = decision.time
         self.cores = decision.cores_after
         self._states.append(decision.state)
         direction = _DIRECTIONS.get(decision.action or "")
@@ -100,7 +82,7 @@ class TenantHealth:
         if decision.state == STABLE:
             self._streak += 1
             if not self.converged and \
-                    self._streak >= self.config.stable_streak:
+                    self._streak >= STABLE_STREAK:
                 self.converged = True
                 self.convergence_time = decision.time - self.first_time
         else:
@@ -166,15 +148,14 @@ class TenantHealth:
 class HealthSuite:
     """Per-tenant :class:`TenantHealth`, created on first decision."""
 
-    def __init__(self, config: HealthConfig | None = None):
-        self.config = config or HealthConfig()
+    def __init__(self) -> None:
         self.tenants: dict[str, TenantHealth] = {}
 
     def observe(self, decision) -> TenantHealth:
         """Route one decision; returns the tenant's health record."""
         tenant = self.tenants.get(decision.tenant)
         if tenant is None:
-            tenant = TenantHealth(decision.tenant, self.config)
+            tenant = TenantHealth(decision.tenant)
             self.tenants[decision.tenant] = tenant
         tenant.observe(decision)
         return tenant
@@ -185,14 +166,13 @@ class HealthSuite:
                 for name, tenant in sorted(self.tenants.items())}
 
 
-def analyze_decisions(decisions: Iterable,
-                      config: HealthConfig | None = None) -> HealthSuite:
+def analyze_decisions(decisions: Iterable) -> HealthSuite:
     """Post-hoc replay of a decision stream into per-tenant health.
 
     Feed it ``load_decisions(path)``; ``repro stats`` does exactly
     that for a telemetry directory.
     """
-    suite = HealthSuite(config)
+    suite = HealthSuite()
     for decision in decisions:
         suite.observe(decision)
     return suite

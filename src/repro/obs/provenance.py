@@ -26,6 +26,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
+from ..sim.export import read_jsonl
 from .metrics import VALUE_BUCKETS, MetricsRegistry, tenant_namespace
 
 
@@ -228,27 +229,18 @@ def load_decisions(path) -> list[Decision]:
     required = {f.name for f in dataclasses.fields(Decision)
                 if f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING}
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReproError(
-                    f"{path}:{line_no}: invalid JSON") from exc
-            if not isinstance(payload, dict) or not required <= set(
-                    payload):
-                missing = required - set(payload or ())
-                raise ReproError(
-                    f"{path}:{line_no}: not a decision record "
-                    f"(missing {sorted(missing)})")
-            extra = set(payload) - field_names
-            if extra:
-                raise ReproError(
-                    f"{path}:{line_no}: unknown fields {sorted(extra)}")
-            if payload.get("priorities") is not None:
-                payload["priorities"] = tuple(payload["priorities"])
-            decisions.append(Decision(**payload))
+    for line_no, payload in read_jsonl(path):
+        if not isinstance(payload, dict) or not required <= set(
+                payload):
+            missing = required - set(payload or ())
+            raise ReproError(
+                f"{path}:{line_no}: not a decision record "
+                f"(missing {sorted(missing)})")
+        extra = set(payload) - field_names
+        if extra:
+            raise ReproError(
+                f"{path}:{line_no}: unknown fields {sorted(extra)}")
+        if payload.get("priorities") is not None:
+            payload["priorities"] = tuple(payload["priorities"])
+        decisions.append(Decision(**payload))
     return decisions

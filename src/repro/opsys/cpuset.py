@@ -71,10 +71,6 @@ class CpuSet:
         """The current mask."""
         return frozenset(self._allowed)
 
-    def allowed_mask(self) -> int:
-        """The current mask as an int bitmask (bit ``c`` = core ``c``)."""
-        return self._mask
-
     def allowed_tuple(self) -> tuple[int, ...]:
         """The current mask, sorted, as a shared immutable tuple.
 

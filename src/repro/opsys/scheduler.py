@@ -140,7 +140,6 @@ class Scheduler:
                 f"thread {thread.tid} belongs to tenant {thread.tenant!r}, "
                 f"which has no registered mask")
         thread.state = ThreadState.READY
-        thread.spawned_at = self.sim.now
         if thread.managed:
             self._tenant_live[thread.tenant] += 1
         self.threads.add(thread)
@@ -216,12 +215,8 @@ class Scheduler:
         else:
             # other applications are not confined by any DB cgroup
             allowed = self.machine.topology.all_cores()
-        # historical quirk, kept deliberately: an *unmanaged* pinned
-        # thread is still guarded by the default tenant's mask here
-        guard = (mask if mask is not None
-                 else self._tenant_masks[DEFAULT_TENANT])
         if thread.pinned_core is not None:
-            if guard.is_allowed(thread.pinned_core):
+            if thread.pinned_core in allowed:
                 return thread.pinned_core
             # pinned core was released: prefer a sibling on the same node
             node = node_of[thread.pinned_core]
@@ -319,7 +314,6 @@ class Scheduler:
                      item: WorkItem) -> None:
         thread.state = ThreadState.RUNNING
         thread.core = core
-        thread.dispatches += 1
         self._running[core] = thread
         self._load[core] += 1
         self._c_dispatches.inc()
@@ -363,12 +357,12 @@ class Scheduler:
         useful = 0.0
         thread.pending_stall = 0.0
 
-        # WorkItem's done/remaining properties re-derive the same slot
-        # arithmetic on every poll; the loop below reads the slots once
-        # per slice instead (identical expressions, so identical floats)
-        total_pages = item._total_pages
+        # WorkItem.done re-derives the same slot arithmetic on every
+        # poll; the loop below reads the slots once per slice instead
+        # (identical expressions, so identical floats)
+        item_pages = item._total_pages
         total_cycles = item._total_cycles
-        cpp = item.cycles / total_pages if total_pages else 0.0
+        cpp = item.cycles / item_pages if item_pages else 0.0
         page_time_est = cpp / freq + self._page_stream_time
         # guarantee progress: even when carried-over stalls (migration,
         # context switch) exceed the quantum, the chunk still retires at
@@ -376,14 +370,14 @@ class Scheduler:
         # one core could livelock on switch costs alone
         first_slice = True
         while first_slice or elapsed < budget:
-            remaining_pages = total_pages - item._read_pos - item._write_pos
-            if (remaining_pages == 0
+            pages_left = item_pages - item._read_pos - item._write_pos
+            if (pages_left == 0
                     and total_cycles - item._cycles_done <= 1e-6):
                 break
             first_slice = False
-            if remaining_pages:
+            if pages_left:
                 want = int((budget - elapsed) / page_time_est) + 1
-                want = min(max(want, 1), remaining_pages)
+                want = min(max(want, 1), pages_left)
                 reads = item.take_reads(want)
                 writes_from = len(reads)
                 writes = (item.take_writes(want - writes_from)
@@ -450,7 +444,7 @@ class Scheduler:
                 useful += run
                 elapsed += run
         # floats: make sure an item with no pages left ends cleanly
-        if (total_pages - item._read_pos - item._write_pos == 0
+        if (item_pages - item._read_pos - item._write_pos == 0
                 and total_cycles - item._cycles_done < 1.0):
             item._cycles_done = total_cycles
         return max(elapsed, 1e-9), useful
@@ -509,7 +503,6 @@ class Scheduler:
 
     def _exit(self, thread: SimThread) -> None:
         thread.state = ThreadState.DONE
-        thread.exited_at = self.sim.now
         if thread.managed:
             self._tenant_live[thread.tenant] -= 1
         self.threads.discard(thread)
@@ -627,7 +620,6 @@ class Scheduler:
 
     def _note_migration(self, thread: SimThread, src: int, dst: int,
                         stolen: bool) -> None:
-        thread.migrations += 1
         thread.pending_stall += self.config.migration_cost
         self._c_migrations.inc()
         if stolen:

@@ -108,14 +108,14 @@ class OperatingSystem:
         return self.machine.counters
 
     def spawn_thread(self, source: WorkSource, name: str = "",
-                     process_id: int = 0, pinned_core: int | None = None,
+                     pinned_core: int | None = None,
                      pinned_node: int | None = None, managed: bool = True,
                      on_exit=None,
                      tenant: str = DEFAULT_TENANT) -> SimThread:
         """Create and admit a thread in one call."""
         self.threads_spawned += 1
         thread = SimThread(source, self.threads_spawned, name=name,
-                           process_id=process_id, pinned_core=pinned_core,
+                           pinned_core=pinned_core,
                            pinned_node=pinned_node, managed=managed,
                            on_exit=on_exit, tenant=tenant)
         self.scheduler.spawn(thread)

@@ -53,7 +53,6 @@ class SimThread:
     """One schedulable worker."""
 
     def __init__(self, source: WorkSource, tid: int, name: str = "",
-                 process_id: int = 0,
                  pinned_core: int | None = None,
                  pinned_node: int | None = None,
                  managed: bool = True,
@@ -62,7 +61,6 @@ class SimThread:
         #: id unique within the owning system (its spawn order)
         self.tid = tid
         self.name = name or f"T{self.tid}"
-        self.process_id = process_id
         self.source = source
         self.pinned_core = pinned_core
         #: soft NUMA affinity: float among the node's cores (SQLOS style)
@@ -82,10 +80,6 @@ class SimThread:
         self.current_item: WorkItem | None = None
         #: address-space residency histogram, node -> page count
         self.pages_by_node: dict[int, int] = {}
-        self.migrations = 0
-        self.dispatches = 0
-        self.spawned_at: float | None = None
-        self.exited_at: float | None = None
         #: one-shot stall charged at the next chunk (migration cost)
         self.pending_stall = 0.0
         #: last core a PlacementRecord was emitted for (trace dedup)

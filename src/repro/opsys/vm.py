@@ -216,14 +216,3 @@ class VirtualMemory:
             if begin < stop:
                 mapped[begin:stop] = bytes(stop - begin)
             self.machine.memory.free(run)
-
-    def nodes_mapping(self, page: int) -> list[int]:
-        """Which nodes have mapped ``page`` so far."""
-        seen = (self._mapped[page]
-                if 0 <= page < len(self._mapped) else 0)
-        return [n for n in self.machine.topology.all_nodes()
-                if seen & (1 << n)]
-
-    def total_minor_faults(self) -> float:
-        """Cumulative minor faults across all nodes."""
-        return self.counters.total("minor_faults")

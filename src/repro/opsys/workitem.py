@@ -73,7 +73,7 @@ class WorkItem:
         self._write_pos = 0
         self._cycles_done = 0.0
         # page footprint and cycle budget are fixed at construction; the
-        # scheduler polls remaining_pages/done every execution slice, so
+        # scheduler polls the remaining pages every execution slice, so
         # both totals are cached rather than recomputed per poll
         self._total_pages = len(reads) + len(writes)
         self._total_cycles = self.cycles + self.fixed_cycles
@@ -81,36 +81,10 @@ class WorkItem:
         self.started_at: float | None = None
 
     @property
-    def total_pages(self) -> int:
-        """Input plus output page count."""
-        return self._total_pages
-
-    @property
-    def total_cycles(self) -> float:
-        """All compute cycles the item will retire."""
-        return self._total_cycles
-
-    @property
-    def remaining_pages(self) -> int:
-        """Pages not yet streamed."""
-        return self._total_pages - self._read_pos - self._write_pos
-
-    @property
-    def remaining_cycles(self) -> float:
-        """Cycles not yet retired."""
-        return self._total_cycles - self._cycles_done
-
-    @property
     def done(self) -> bool:
         """Whether the item has fully executed."""
         return (self._total_pages - self._read_pos - self._write_pos == 0
                 and self._total_cycles - self._cycles_done <= 1e-6)
-
-    def cycles_per_page(self) -> float:
-        """Variable compute cost attributed to each page."""
-        if self._total_pages == 0:
-            return 0.0
-        return self.cycles / self._total_pages
 
     def take_reads(self, n: int) -> Sequence[int]:
         """Consume up to ``n`` unread input pages."""
@@ -126,18 +100,10 @@ class WorkItem:
         self._write_pos = end
         return self.writes[start:end]
 
-    def retire_cycles(self, cycles: float) -> None:
-        """Mark compute progress (clamped to what remains)."""
-        self._cycles_done = min(self._cycles_done + cycles,
-                                self.total_cycles)
-
-    def force_complete_cycles(self) -> None:
-        """Retire whatever compute remains (used when pages finish first)."""
-        self._cycles_done = self.total_cycles
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<WorkItem {self.label!r} pages={self.total_pages} "
-                f"remaining={self.remaining_pages}>")
+        return (f"<WorkItem {self.label!r} pages={self._total_pages} "
+                f"remaining="
+                f"{self._total_pages - self._read_pos - self._write_pos}>")
 
 
 class ListWorkSource:
@@ -150,10 +116,6 @@ class ListWorkSource:
 
     def __init__(self, items: Sequence[WorkItem] = ()):
         self._queue: deque[WorkItem] = deque(items)
-
-    def push(self, item: WorkItem) -> None:
-        """Append one more item."""
-        self._queue.append(item)
 
     def next_item(self, thread) -> WorkItem | None:
         """Hand the next item to ``thread`` (thread identity is ignored)."""

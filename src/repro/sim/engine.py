@@ -194,10 +194,6 @@ class Simulator:
         heapify(heap)
         self._dead = 0
 
-    def _queued(self) -> int:
-        """Events physically queued, dead cells included (test hook)."""
-        return len(self._heap)
-
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued.  O(1)."""
         return self._live

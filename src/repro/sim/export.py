@@ -56,28 +56,35 @@ def dump_tracer(tracer: tracing.TraceRecorder, path) -> int:
     return dump_records(tracer.all(), path)
 
 
-def load_records(path) -> list:
-    """Read a JSON-lines trace back into typed records."""
-    path = pathlib.Path(path)
-    records = []
+def read_jsonl(path: pathlib.Path):
+    """Yield ``(line_no, value)`` for each non-blank line of a JSON-lines
+    file; a line that is not JSON raises, naming the file and line."""
     with path.open("r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line)
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ReproError(
                     f"{path}:{line_no}: invalid JSON") from exc
-            name = payload.pop("type", None)
-            cls = RECORD_TYPES.get(name)
-            if cls is None:
-                raise ReproError(
-                    f"{path}:{line_no}: unknown record type {name!r}")
-            try:
-                records.append(cls(**payload))
-            except TypeError as exc:
-                raise ReproError(
-                    f"{path}:{line_no}: bad fields for {name}") from exc
+            yield line_no, value
+
+
+def load_records(path) -> list:
+    """Read a JSON-lines trace back into typed records."""
+    path = pathlib.Path(path)
+    records = []
+    for line_no, payload in read_jsonl(path):
+        name = payload.pop("type", None)
+        cls = RECORD_TYPES.get(name)
+        if cls is None:
+            raise ReproError(
+                f"{path}:{line_no}: unknown record type {name!r}")
+        try:
+            records.append(cls(**payload))
+        except TypeError as exc:
+            raise ReproError(
+                f"{path}:{line_no}: bad fields for {name}") from exc
     return records

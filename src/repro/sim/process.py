@@ -35,7 +35,6 @@ class ProcessHandle:
         self._event: Event | None = None
         self.finished = False
         self.cancelled = False
-        self.steps = 0
 
     def _advance(self) -> None:
         self._event = None
@@ -50,7 +49,6 @@ class ProcessHandle:
             self.finished = True
             raise SimulationError(
                 f"process yielded invalid sleep {delay!r}")
-        self.steps += 1
         self._event = self._sim.schedule(float(delay), self._advance)
 
     def cancel(self) -> None:
@@ -60,11 +58,6 @@ class ProcessHandle:
             self._sim.cancel(self._event)
             self._event = None
         self._generator.close()
-
-    @property
-    def alive(self) -> bool:
-        """Whether the process will run again."""
-        return not (self.finished or self.cancelled)
 
 
 def spawn_process(sim: Simulator, generator: Generator,

@@ -17,9 +17,28 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TypeVar
 
 
+def _pickled_positionally(cls: type) -> type:
+    """Give a record class one ``__reduce__``: its type and its fields
+    in ``__slots__`` order.
+
+    Snapshots pickle traces wholesale; rebuilding via the positional
+    ``__init__`` skips the generic dataclass state machinery (fields()
+    + per-field setattr lists).
+    """
+    fields = attrgetter(*cls.__slots__)
+
+    def __reduce__(self):
+        return type(self), fields(self)
+
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+@_pickled_positionally
 @dataclass(frozen=True, slots=True)
 class PlacementRecord:
     """A thread started running on a core (scheduling dispatch)."""
@@ -29,14 +48,8 @@ class PlacementRecord:
     core_id: int
     node_id: int
 
-    def __reduce__(self):
-        # snapshots pickle traces wholesale; rebuilding via the
-        # positional __init__ skips the generic dataclass state
-        # machinery (fields() + per-field setattr lists)
-        return (PlacementRecord, (self.time, self.thread_id, self.core_id, self.node_id))
 
-
-
+@_pickled_positionally
 @dataclass(frozen=True, slots=True)
 class MigrationRecord:
     """A thread moved between cores; ``stolen`` marks load-balancer steals."""
@@ -47,14 +60,8 @@ class MigrationRecord:
     dst_core: int
     stolen: bool
 
-    def __reduce__(self):
-        # snapshots pickle traces wholesale; rebuilding via the
-        # positional __init__ skips the generic dataclass state
-        # machinery (fields() + per-field setattr lists)
-        return (MigrationRecord, (self.time, self.thread_id, self.src_core, self.dst_core, self.stolen))
 
-
-
+@_pickled_positionally
 @dataclass(frozen=True, slots=True)
 class TransitionRecord:
     """One controller pass: the PrT chain it fired (``t1-Overload-t5``),
@@ -67,14 +74,8 @@ class TransitionRecord:
     cores_after: int
     tenant: str
 
-    def __reduce__(self):
-        # snapshots pickle traces wholesale; rebuilding via the
-        # positional __init__ skips the generic dataclass state
-        # machinery (fields() + per-field setattr lists)
-        return (TransitionRecord, (self.time, self.label, self.state, self.value, self.cores_after, self.tenant))
 
-
-
+@_pickled_positionally
 @dataclass(frozen=True, slots=True)
 class CoreAllocation:
     """``tenant``'s cpuset changed; ``core_id`` was added or removed."""
@@ -86,14 +87,8 @@ class CoreAllocation:
     n_allocated: int
     tenant: str
 
-    def __reduce__(self):
-        # snapshots pickle traces wholesale; rebuilding via the
-        # positional __init__ skips the generic dataclass state
-        # machinery (fields() + per-field setattr lists)
-        return (CoreAllocation, (self.time, self.core_id, self.node_id, self.allocated, self.n_allocated, self.tenant))
 
-
-
+@_pickled_positionally
 @dataclass(frozen=True, slots=True)
 class QueryRecord:
     """A query finished; the basic throughput/latency unit."""
@@ -104,14 +99,8 @@ class QueryRecord:
     start_time: float
     elapsed: float
 
-    def __reduce__(self):
-        # snapshots pickle traces wholesale; rebuilding via the
-        # positional __init__ skips the generic dataclass state
-        # machinery (fields() + per-field setattr lists)
-        return (QueryRecord, (self.time, self.client_id, self.query_name, self.start_time, self.elapsed))
 
-
-
+@_pickled_positionally
 @dataclass(frozen=True, slots=True)
 class StageRecord:
     """One worker finished one plan-stage partition (Tomograph rows)."""
@@ -123,12 +112,6 @@ class StageRecord:
     start_time: float
     elapsed: float
     core_id: int
-
-    def __reduce__(self):
-        # snapshots pickle traces wholesale; rebuilding via the
-        # positional __init__ skips the generic dataclass state
-        # machinery (fields() + per-field setattr lists)
-        return (StageRecord, (self.time, self.thread_id, self.query_name, self.operator, self.start_time, self.elapsed, self.core_id))
 
 
 
@@ -149,10 +132,6 @@ class TraceRecorder:
     def mute(self, record_type: type) -> None:
         """Stop recording instances of ``record_type``."""
         self._muted.add(record_type)
-
-    def unmute(self, record_type: type) -> None:
-        """Resume recording instances of ``record_type``."""
-        self._muted.discard(record_type)
 
     def emit(self, record: object) -> None:
         """Append a record unless its type is muted."""

@@ -146,7 +146,6 @@ def check_reachability(model, grid: int = DEFAULT_GRID,
     """
     net: PetriNet = model.net
     saved = net.marking()
-    saved_log = len(net.fired_log)
     samples = metric_samples(model, grid)
     if max_steps is None:
         max_steps = 4 * len(net.transition_names()) + 4
@@ -216,7 +215,6 @@ def check_reachability(model, grid: int = DEFAULT_GRID,
                         frontier.append(after)
     finally:
         _set_marking(net, saved)
-        del net.fired_log[saved_log:]
     for nalloc, values in sorted(stuck.items()):
         findings.append(Finding(
             "reachability",

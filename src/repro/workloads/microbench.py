@@ -74,7 +74,6 @@ class _Client:
                 query_name="q6_c")])
             bench.os.spawn_thread(
                 source, name=f"c{self.client_id}.t{t}",
-                process_id=self.client_id,
                 pinned_core=bench.pin_for(t),
                 on_exit=self._thread_done)
 

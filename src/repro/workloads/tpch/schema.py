@@ -107,12 +107,6 @@ def type_code(name: str) -> int:
     return s1 * 25 + s2 * 5 + s3
 
 
-def type_syllable1_codes(prefix: str) -> list[int]:
-    """All type codes whose first syllable is ``prefix`` (``'PROMO%'``)."""
-    s1 = TYPE_SYLLABLE_1.index(prefix)
-    return [s1 * 25 + rest for rest in range(25)]
-
-
 def type_syllable3_codes(suffix: str) -> list[int]:
     """All type codes whose last syllable is ``suffix`` (``'%BRASS'``)."""
     s3 = TYPE_SYLLABLE_3.index(suffix)

@@ -12,7 +12,7 @@ from repro.experiments.common import build_system
 from repro.hardware.prebuilt import small_numa
 from repro.opsys.system import OperatingSystem
 from repro.opsys.workitem import ListWorkSource, WorkItem
-from repro.sim.tracing import TransitionRecord
+from repro.sim.tracing import MigrationRecord, TransitionRecord
 
 SCALE = 0.004
 SIM = 0.125
@@ -95,7 +95,9 @@ class TestSchedulerCostCharging:
             [WorkItem("w", reads=list(pages), cycles=1e7)]))
             for _ in range(8)]
         os_.run_until_idle()
-        migrated = [t for t in threads if t.migrations > 0]
+        tids = {t.tid for t in threads}
+        migrated = [r for r in os_.tracer.of(MigrationRecord)
+                    if r.thread_id in tids]
         assert migrated  # oversubscription forced moves
         # the fixed cost surfaces as busy-but-not-useful time
         busy = os_.counters.total("busy_time")
@@ -140,10 +142,6 @@ class TestModelSubnetSemantics:
         from repro.core.model import PerformanceModel
 
         model = PerformanceModel(10, 70, n_total=16, initial_cores=2)
-        for u in (99, 5, 40, 99, 99):
-            model.run_cycle(u)
-        log = model.net.fired_log
-        entries = log[0::2]
-        exits = log[1::2]
-        assert all(t in ("t0", "t1", "t2") for t in entries)
-        assert all(t in ("t3", "t4", "t5", "t6", "t7") for t in exits)
+        chains = [model.run_cycle(u) for u in (99, 5, 40, 99, 99)]
+        assert all(c.entry in ("t0", "t1", "t2") for c in chains)
+        assert all(c.exit in ("t3", "t4", "t5", "t6", "t7") for c in chains)

@@ -52,18 +52,10 @@ class TestBAT:
         joined = [p for part in parts for p in part]
         assert joined == list(bat.pages)
 
-    def test_row_slices_partition_exactly(self):
-        bat = BAT("x", np.zeros(10))
-        slices = [bat.row_slice(i, 3) for i in range(3)]
-        covered = []
-        for s in slices:
-            covered.extend(range(s.start, s.stop))
-        assert covered == list(range(10))
-
     def test_slice_bounds_checked(self, machine):
         bat = BAT("x", np.zeros(10))
         with pytest.raises(DatabaseError):
-            bat.row_slice(3, 3)
+            bat.page_slice(3, 3)
 
 
 class TestTable:

@@ -1,4 +1,4 @@
-"""Shared L3 model: LRU behaviour, eviction, statistics."""
+"""Shared L3 model: LRU behaviour and eviction."""
 
 import pytest
 
@@ -10,8 +10,6 @@ def test_miss_then_hit():
     cache = SharedCache(capacity_pages=4)
     assert cache.access(1) is False
     assert cache.access(1) is True
-    assert cache.hits == 1
-    assert cache.misses == 1
 
 
 def test_eviction_is_lru():
@@ -23,7 +21,7 @@ def test_eviction_is_lru():
     assert 1 in cache
     assert 3 in cache
     assert 2 not in cache
-    assert cache.evictions == 1
+    assert len(cache) == 2
 
 
 def test_capacity_never_exceeded():
@@ -35,13 +33,15 @@ def test_capacity_never_exceeded():
 
 def test_access_many_counts():
     cache = SharedCache(capacity_pages=8)
-    hits, misses = cache.access_many([1, 2, 3, 1, 2])
-    assert (hits, misses) == (2, 3)
+    outcomes = [cache.access(page) for page in [1, 2, 3, 1, 2]]
+    assert outcomes == [False, False, False, True, True]
+    # one resolve over a run reports its missed sub-runs
+    assert cache.resolve(0, 5) == [range(0, 1), range(4, 5)]
 
 
 def test_invalidate_drops_named_pages():
     cache = SharedCache(capacity_pages=4)
-    cache.access_many([1, 2, 3])
+    cache.resolve(1, 4)
     dropped = cache.invalidate([2, 99])
     assert dropped == 1
     assert 2 not in cache
@@ -50,26 +50,17 @@ def test_invalidate_drops_named_pages():
 
 def test_flush_empties():
     cache = SharedCache(capacity_pages=4)
-    cache.access_many([1, 2, 3])
+    cache.resolve(1, 4)
     cache.flush()
     assert len(cache) == 0
-    # stats survive a flush
-    assert cache.misses == 3
+    assert cache.resident_pages() == []
 
 
 def test_resident_order_cold_to_hot():
     cache = SharedCache(capacity_pages=4)
-    cache.access_many([1, 2, 3])
+    cache.resolve(1, 4)
     cache.access(1)
     assert cache.resident_pages() == [2, 3, 1]
-
-
-def test_occupancy_and_hit_ratio():
-    cache = SharedCache(capacity_pages=4)
-    assert cache.hit_ratio() == 0.0
-    cache.access_many([1, 2, 1, 2])
-    assert cache.occupancy == pytest.approx(0.5)
-    assert cache.hit_ratio() == pytest.approx(0.5)
 
 
 def test_zero_capacity_rejected():

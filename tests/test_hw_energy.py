@@ -67,5 +67,3 @@ def test_report_between_snapshots(setup):
     report = model.report(start, end, topo)
     assert report.cpu_joules > 0
     assert report.ht_joules == pytest.approx(8_000_000 * 1e-12)
-    assert report.total_joules == pytest.approx(
-        report.cpu_joules + report.ht_joules)

@@ -36,7 +36,7 @@ def test_placement_lifecycle(memory):
     assert not memory.is_placed(page)
     memory.place(page, 1)
     assert memory.home(page) == 1
-    assert memory.pages_on_node(1) == 1
+    assert memory.placement_histogram()[1] == 1
 
 
 def test_double_placement_rejected(memory):
@@ -61,9 +61,9 @@ def test_free_returns_capacity(memory):
     pages = list(memory.allocate(4))
     for page in pages:
         memory.place(page, 0)
-    assert memory.pages_on_node(0) == 4
+    assert memory.placement_histogram()[0] == 4
     memory.free(pages[:2])
-    assert memory.pages_on_node(0) == 2
+    assert memory.placement_histogram()[0] == 2
     assert memory.home(pages[0]) == UNPLACED
 
 
@@ -79,14 +79,6 @@ def test_placement_histogram(memory):
     for page in pages[3:]:
         memory.place(page, 1)
     assert memory.placement_histogram() == [3, 2]
-
-
-def test_pages_of_histogram_includes_unplaced(memory):
-    pages = list(memory.allocate(4))
-    memory.place(pages[0], 1)
-    histogram = memory.pages_of(pages)
-    assert histogram[1] == 1
-    assert histogram[UNPLACED] == 3
 
 
 def test_bank_capacity_enforced():

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.cli import main
-from repro.errors import ReproError
 from repro.obs.export import load_metrics_jsonl
-from repro.obs.health import (HealthConfig, HealthSuite, TenantHealth,
+from repro.obs.health import (STABLE_STREAK, HealthSuite, TenantHealth,
                               analyze_decisions)
 from repro.obs.provenance import Decision, load_decisions
 
@@ -25,7 +24,8 @@ def decision(time, tick, state, action=None, core=None, cores_after=1,
 
 class TestConvergence:
     def test_streak_of_stable_passes_converges(self):
-        health = TenantHealth("db", HealthConfig(stable_streak=3))
+        assert STABLE_STREAK == 3
+        health = TenantHealth("db")
         for i in range(3):
             health.observe(decision(1.0 + i, i, "Stable"))
             assert health.converged == (i == 2)
@@ -33,29 +33,32 @@ class TestConvergence:
         assert health.convergence_time == pytest.approx(2.0)
 
     def test_interrupted_streak_restarts(self):
-        health = TenantHealth("db", HealthConfig(stable_streak=2))
+        health = TenantHealth("db")
         health.observe(decision(1.0, 0, "Stable"))
-        health.observe(decision(2.0, 1, "Overload", action="allocate",
+        health.observe(decision(2.0, 1, "Stable"))
+        health.observe(decision(3.0, 2, "Overload", action="allocate",
                                 core=1, cores_after=2))
-        health.observe(decision(3.0, 2, "Stable"))
-        assert not health.converged
         health.observe(decision(4.0, 3, "Stable"))
+        health.observe(decision(5.0, 4, "Stable"))
+        assert not health.converged
+        health.observe(decision(6.0, 5, "Stable"))
         assert health.converged
 
     def test_leaving_stable_after_convergence_is_a_divergence(self):
-        health = TenantHealth("db", HealthConfig(stable_streak=1))
-        health.observe(decision(1.0, 0, "Stable"))
+        health = TenantHealth("db")
+        for i in range(3):
+            health.observe(decision(1.0 + i, i, "Stable"))
         assert health.converged
-        health.observe(decision(2.0, 1, "Overload"))
+        health.observe(decision(4.0, 3, "Overload"))
         assert not health.converged
         assert health.divergences == 1
         # convergence_time keeps the first convergence (time-to-LONC)
-        assert health.convergence_time == pytest.approx(0.0)
+        assert health.convergence_time == pytest.approx(2.0)
 
 
 class TestOscillation:
     def test_ping_pong_scores_one(self):
-        health = TenantHealth("db", HealthConfig())
+        health = TenantHealth("db")
         actions = ["allocate", "release", "allocate", "release"]
         for i, action in enumerate(actions):
             health.observe(decision(float(i), i, "Overload",
@@ -63,7 +66,7 @@ class TestOscillation:
         assert health.oscillation == 1.0
 
     def test_monotone_growth_scores_zero(self):
-        health = TenantHealth("db", HealthConfig())
+        health = TenantHealth("db")
         for i in range(4):
             health.observe(decision(float(i), i, "Overload",
                                     action="allocate", core=i,
@@ -71,7 +74,7 @@ class TestOscillation:
         assert health.oscillation == 0.0
 
     def test_non_acting_passes_do_not_count(self):
-        health = TenantHealth("db", HealthConfig())
+        health = TenantHealth("db")
         health.observe(decision(0.0, 0, "Stable"))
         health.observe(decision(1.0, 1, "Stable"))
         assert health.oscillation == 0.0
@@ -79,14 +82,14 @@ class TestOscillation:
 
 class TestFlapping:
     def test_state_change_rate(self):
-        health = TenantHealth("db", HealthConfig())
+        health = TenantHealth("db")
         for i, state in enumerate(["Stable", "Overload", "Stable",
                                    "Overload"]):
             health.observe(decision(float(i), i, state))
         assert health.flapping == 1.0
 
     def test_steady_state_does_not_flap(self):
-        health = TenantHealth("db", HealthConfig())
+        health = TenantHealth("db")
         for i in range(5):
             health.observe(decision(float(i), i, "Stable"))
         assert health.flapping == 0.0
@@ -94,7 +97,7 @@ class TestFlapping:
 
 class TestAllocationLag:
     def test_lag_counts_ticks_from_threshold_crossing(self):
-        health = TenantHealth("db", HealthConfig())
+        health = TenantHealth("db")
         health.observe(decision(0.0, 0, "Stable"))
         # tick 1 leaves Stable (the crossing); no free core holds the
         # core change back until tick 3
@@ -106,13 +109,13 @@ class TestAllocationLag:
         assert health.lags == [3]
 
     def test_immediate_application_has_lag_one(self):
-        health = TenantHealth("db", HealthConfig())
+        health = TenantHealth("db")
         health.observe(decision(1.0, 1, "Overload", action="allocate",
                                 core=1, cores_after=2))
         assert health.last_lag == 1
 
     def test_returning_to_stable_abandons_the_episode(self):
-        health = TenantHealth("db", HealthConfig())
+        health = TenantHealth("db")
         health.observe(decision(1.0, 1, "Overload"))
         health.observe(decision(2.0, 2, "Stable"))
         health.observe(decision(3.0, 3, "Overload", action="allocate",
@@ -123,7 +126,7 @@ class TestAllocationLag:
 
 class TestProvenance:
     def test_last_action_links_back_to_the_decision(self):
-        health = TenantHealth("db", HealthConfig())
+        health = TenantHealth("db")
         health.observe(decision(1.0, 4, "Overload", action="allocate",
                                 core=7, cores_after=3))
         assert health.last_action == {
@@ -156,12 +159,6 @@ class TestSuiteAndReplay:
             live.observe(d)
         replay = analyze_decisions(stream)
         assert replay.snapshot() == live.snapshot()
-
-    def test_config_validation(self):
-        with pytest.raises(ReproError):
-            HealthConfig(stable_streak=0)
-        with pytest.raises(ReproError):
-            HealthConfig(osc_window=1)
 
 
 def test_health_table_agrees_with_the_metric_channel(tmp_path, capsys):

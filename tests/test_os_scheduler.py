@@ -75,7 +75,6 @@ class TestBasicExecution:
         os_.run_until_idle()
         assert done == ["scan"]
         assert thread.state is ThreadState.DONE
-        assert thread.exited_at is not None
 
     def test_on_exit_callback_fires(self):
         os_ = make_os()
@@ -121,7 +120,8 @@ class TestBasicExecution:
         thread = os_.spawn_thread(ListWorkSource(
             [scan_item(os_, n_pages=64, cycles=5e7)]))
         os_.run_until_idle()
-        assert thread.dispatches > 1
+        assert thread.state is ThreadState.DONE
+        assert os_.counters.total("tasks") > 1
 
     def test_tasks_counter_counts_dispatches(self):
         os_ = make_os()
@@ -145,7 +145,7 @@ class TestPlacement:
             ListWorkSource([scan_item(os_)]), pinned_core=3)
         assert thread.core == 3
         os_.run_until_idle()
-        assert thread.migrations == 0
+        assert os_.tracer.of(MigrationRecord) == []
 
     def test_node_affinity_prefers_node(self):
         os_ = make_os()
@@ -248,11 +248,30 @@ class TestLoadBalancing:
             ListWorkSource([scan_item(os_, n_pages=32, cycles=2e7)]),
             pinned_core=0) for _ in range(6)]
         os_.run_until_idle()
-        for thread in pinned:
-            assert thread.migrations == 0
+        assert os_.tracer.of(MigrationRecord) == []
+        assert all(t.state is ThreadState.DONE for t in pinned)
 
 
 class TestCpusetEnforcement:
+    def test_unmanaged_pinned_thread_keeps_its_core_under_a_shrunk_mask(
+            self):
+        """A thread outside the DB cgroup is confined by no DB mask: it
+        stays on the core it is pinned to, as Linux keeps it there."""
+        os_ = make_os()
+
+        def spawn_pinned():
+            return os_.spawn_thread(
+                ListWorkSource([scan_item(os_, n_pages=64, cycles=5e7)]),
+                pinned_core=2, managed=False)
+
+        early = [spawn_pinned() for _ in range(2)]
+        assert [t.core for t in early] == [2, 2]
+        os_.cpuset.set_mask([0])
+        late = spawn_pinned()
+        assert [t.core for t in [*early, late]] == [2, 2, 2]
+        os_.run_until_idle()
+        assert os_.tracer.of(MigrationRecord) == []
+
     def test_threads_evicted_from_released_core(self):
         os_ = make_os()
         thread = os_.spawn_thread(ListWorkSource(

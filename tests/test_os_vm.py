@@ -99,7 +99,7 @@ def test_mapping_bitmask_grows_past_its_initial_capacity(vm):
     pages = range(4000, 4100)
     assert vm.touch_pages(PageSegments([range(10, 20), pages]), 0) == 110
     assert vm.touch_pages(pages, 0) == 0
-    assert vm.nodes_mapping(4050) == [0]
+    assert vm._mapped[4050] == 0b01
 
 
 def test_remote_mapping_faults_once_per_node(vm):
@@ -115,7 +115,8 @@ def test_nodes_mapping_tracks_mappers(vm):
     (page,) = vm.machine.memory.allocate(1)
     vm.touch_pages([page], node=0)
     vm.touch_pages([page], node=1)
-    assert vm.nodes_mapping(page) == [0, 1]
+    # one bit per node that has mapped the page
+    assert vm._mapped[page] == 0b11
 
 
 def test_thread_residency_histogram_counts_batches(vm):
@@ -140,8 +141,8 @@ def test_forget_releases_pages_and_mappings(vm):
     pages = list(vm.machine.memory.allocate(2))
     vm.touch_pages(pages, node=0)
     vm.forget(pages)
-    assert vm.machine.memory.pages_on_node(0) == 0
-    assert vm.nodes_mapping(pages[0]) == []
+    assert vm.machine.memory.placement_histogram()[0] == 0
+    assert vm._mapped[pages[0]] == 0
     # re-touch first-touches again
     assert vm.touch_pages(pages, node=1) == 2
 
@@ -150,4 +151,4 @@ def test_total_minor_faults(vm):
     pages = list(vm.machine.memory.allocate(3))
     vm.touch_pages(pages, node=0)
     vm.touch_pages(pages, node=1)
-    assert vm.total_minor_faults() == 6
+    assert vm.counters.total("minor_faults") == 6

@@ -3,17 +3,30 @@
 import pytest
 
 from repro.errors import SchedulerError
+from repro.hardware.prebuilt import small_numa
+from repro.opsys.system import OperatingSystem
 from repro.opsys.workitem import ListWorkSource, WorkItem
 from repro.pages import PageSegments
+
+
+def run_alone(item: WorkItem) -> OperatingSystem:
+    """Execute ``item`` on one thread of a fresh system."""
+    os_ = OperatingSystem(small_numa())
+    os_.spawn_thread(ListWorkSource([item]))
+    os_.run_until_idle()
+    assert item.done
+    return os_
 
 
 def test_progress_counters():
     item = WorkItem("scan", reads=list(range(10)), writes=[100, 101],
                     cycles=1200.0)
-    assert item.total_pages == 12
-    assert item.remaining_pages == 12
-    assert item.cycles_per_page() == pytest.approx(100.0)
     assert not item.done
+    assert len(item.take_reads(100)) == 10
+    assert len(item.take_writes(100)) == 2
+    # every page is streamed, but no cycle is retired yet
+    assert not item.done
+    assert item._cycles_done == 0.0
 
 
 def test_take_reads_then_writes():
@@ -21,7 +34,7 @@ def test_take_reads_then_writes():
     assert list(item.take_reads(2)) == [0, 1]
     assert list(item.take_reads(5)) == [2]
     assert list(item.take_writes(5)) == [10, 11]
-    assert item.remaining_pages == 0
+    assert item.done
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 100])
@@ -32,9 +45,9 @@ def test_list_footprint_streams_the_list(chunk):
     writes = [40, 41, 43, 42]
     item = WorkItem("scan", reads=reads, writes=writes)
     assert len(item.reads) == len(reads)
-    assert item.total_pages == len(reads) + len(writes)
+    assert len(item.writes) == len(writes)
     streamed, written = [], []
-    while item.remaining_pages:
+    while not item.done:
         taken = item.take_reads(chunk)
         put = item.take_writes(chunk - len(taken))
         # slices come back as runs, never as page lists
@@ -55,27 +68,36 @@ def test_runs_are_kept_as_given():
 
 def test_retire_cycles_clamped():
     item = WorkItem("x", cycles=100.0)
-    item.retire_cycles(500.0)
-    assert item.remaining_cycles == 0.0
+    run_alone(item)
+    # the scheduler rounds compute up, but never past the budget
+    assert item._cycles_done == item._total_cycles
 
 
 def test_done_requires_pages_and_cycles():
     item = WorkItem("x", reads=[1], cycles=100.0)
-    item.retire_cycles(100.0)
+    item._cycles_done = 100.0  # the scheduler retires cycles in place
     assert not item.done
     item.take_reads(1)
     assert item.done
 
 
 def test_force_complete_cycles():
-    item = WorkItem("x", cycles=1e6)
-    item.force_complete_cycles()
-    assert item.remaining_cycles == 0.0
+    os_ = OperatingSystem(small_numa())
+    pages = list(os_.machine.memory.allocate(3))
+    item = WorkItem("x", reads=pages, cycles=1e6)
+    os_.spawn_thread(ListWorkSource([item]))
+    os_.run_until_idle()
+    # whatever float remainder the per-page cycle shares leave, the item
+    # ends with its whole budget retired
+    assert item.done
+    assert item._cycles_done == item._total_cycles
 
 
 def test_fixed_cycles_add_to_total():
     item = WorkItem("x", reads=[1], cycles=100.0, fixed_cycles=50.0)
-    assert item.total_cycles == 150.0
+    assert item._total_cycles == 150.0
+    item._cycles_done = 100.0
+    assert not item.done
 
 
 def test_negative_cycles_rejected():
@@ -84,8 +106,11 @@ def test_negative_cycles_rejected():
 
 
 def test_pure_compute_item_has_zero_cpp():
-    item = WorkItem("x", cycles=100.0)
-    assert item.cycles_per_page() == 0.0
+    item = WorkItem("x", cycles=2.8e6)
+    os_ = run_alone(item)
+    # no page carries a share of the cycles: all of them run as compute
+    assert os_.counters.total("useful_time") == pytest.approx(
+        item.cycles / os_.machine.config.frequency_hz)
 
 
 class TestListWorkSource:
@@ -101,12 +126,6 @@ class TestListWorkSource:
         source.next_item(None)
         assert source.finished
         assert source.next_item(None) is None
-
-    def test_push_extends(self):
-        source = ListWorkSource()
-        assert source.finished
-        source.push(WorkItem("late"))
-        assert not source.finished
 
     def test_register_waiter_is_an_error(self):
         source = ListWorkSource()

@@ -85,6 +85,9 @@ def test_allocation_never_names_allocated_cores(shape, data):
 def test_initial_mask_size_and_uniqueness(shape, k):
     topo = topo_for(shape)
     k = min(k, topo.n_cores)
-    mask = DenseMode(topo).initial_mask(k)
+    mode = DenseMode(topo)
+    mask: list[int] = []
+    for _ in range(k):
+        mask.append(mode.next_allocation(frozenset(mask)))
     assert len(mask) == k
     assert len(set(mask)) == k

@@ -37,7 +37,7 @@ def test_minor_faults_bounded_by_pages_times_nodes(touches):
     for page_idx, node in touches:
         vm.touch_pages([pages[page_idx]], node)
     distinct = {(p, n) for p, n in touches}
-    assert vm.total_minor_faults() == len(distinct)
+    assert vm.counters.total("minor_faults") == len(distinct)
 
 
 @given(st.lists(st.tuples(

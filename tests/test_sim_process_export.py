@@ -1,8 +1,12 @@
 """Simulated processes and trace export."""
 
+import re
+
 import pytest
 
 from repro.errors import ReproError, SimulationError
+from repro.obs.export import load_metrics_jsonl
+from repro.obs.provenance import load_decisions
 from repro.sim.engine import Simulator
 from repro.sim.export import dump_records, dump_tracer, load_records
 from repro.sim.process import every, spawn_process
@@ -26,7 +30,6 @@ class TestProcess:
         sim.run_until_idle()
         assert log == [0.0, 0.5, 0.75]
         assert handle.finished
-        assert not handle.alive
 
     def test_start_delay(self):
         sim = Simulator()
@@ -54,7 +57,7 @@ class TestProcess:
         sim.run_until_idle()
         assert len(ticks) == 4  # t=0, 0.1, 0.2, 0.3
         assert handle.cancelled
-        assert not handle.alive
+        assert handle._event is None
 
     def test_invalid_yield_rejected(self):
         sim = Simulator()
@@ -183,3 +186,15 @@ class TestExport:
         count = dump_tracer(sut.os.tracer, path)
         assert count == len(sut.os.tracer)
         assert load_records(path) == sut.os.tracer.all()
+
+
+@pytest.mark.parametrize("load", [load_records, load_decisions,
+                                  load_metrics_jsonl])
+def test_jsonl_loaders_skip_blank_lines_and_name_a_bad_one(tmp_path, load):
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n   \n")
+    assert load(path) == []
+    path.write_text("\n   \n{not json\n")
+    with pytest.raises(ReproError,
+                       match=re.escape(f"{path}:3: invalid JSON")):
+        load(path)

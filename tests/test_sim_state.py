@@ -203,15 +203,15 @@ def test_compaction_drops_dead_cells_and_resets_counter():
     for event in events[: _COMPACT_MIN_DEAD - 1]:
         sim.cancel(event)
     assert sim._dead == _COMPACT_MIN_DEAD - 1
-    assert sim._queued() == 300
+    assert len(sim._heap) == 300
     # live=237 here, so dead*2 > live needs more cancels; push past both
     # thresholds and compaction must keep the dead tail bounded
     for event in events[_COMPACT_MIN_DEAD - 1: 200]:
         sim.cancel(event)
     assert sim.pending() == 100
     assert sim._dead < _COMPACT_MIN_DEAD
-    assert sim._queued() == 100 + sim._dead
-    assert sim._queued() < 300
+    assert len(sim._heap) == 100 + sim._dead
+    assert len(sim._heap) < 300
 
 
 def test_compaction_preserves_delivery_order():
@@ -249,7 +249,7 @@ def test_small_heaps_are_never_compacted():
     for event in events[:15]:
         sim.cancel(event)
     # dead*2 > live by far, but below the size floor
-    assert sim._queued() == 20
+    assert len(sim._heap) == 20
     assert sim.pending() == 5
     assert sim.run() == 5
 
@@ -294,7 +294,7 @@ def test_populated_event_queue_round_trips():
     state = base.sim.snapshot(root=base)
     fork = state.restore()
     assert fork.sim.pending() == base.sim.pending()
-    assert fork.sim._queued() == base.sim._queued()
+    assert len(fork.sim._heap) == len(base.sim._heap)
 
     base.sim.run_until_idle()
     fork.sim.run_until_idle()

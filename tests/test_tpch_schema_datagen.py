@@ -6,12 +6,12 @@ import pytest
 from repro.errors import WorkloadError
 from repro.workloads.tpch import generate
 from repro.workloads.tpch.schema import (MKT_SEGMENTS, NATION_REGION,
-                                         NATIONS, REGIONS, brand_code,
+                                         NATIONS, REGIONS, TYPE_SYLLABLE_2,
+                                         TYPE_SYLLABLE_3, brand_code,
                                          container_code, date_index,
                                          nation_code, region_code,
                                          segment_code, ship_mode_code,
-                                         type_code, type_syllable1_codes,
-                                         type_syllable3_codes)
+                                         type_code, type_syllable3_codes)
 
 
 class TestSchema:
@@ -32,7 +32,9 @@ class TestSchema:
         assert type_code("PROMO BRUSHED COPPER") == 3 * 25 + 1 * 5 + 1
 
     def test_type_prefix_codes(self):
-        promo = type_syllable1_codes("PROMO")
+        # a type's first syllable is its code's base-25 digit
+        promo = {type_code(f"PROMO {s2} {s3}") for s2 in TYPE_SYLLABLE_2
+                 for s3 in TYPE_SYLLABLE_3}
         assert len(promo) == 25
         assert all(code // 25 == 3 for code in promo)
 
